@@ -3,6 +3,8 @@
 //
 // Every record is {op, n, wall_ns}: `op` names the measured operation, `n`
 // its problem size (flows, ranks, ...), `wall_ns` the host wall-clock cost.
+// A record may carry extra numeric fields after those three (repetition
+// statistics, memory); tools/bench_trend.py reads only the first three.
 // The file is an array of such records, written atomically on save().
 #pragma once
 
@@ -17,8 +19,10 @@ class JsonWriter {
  public:
   explicit JsonWriter(std::string path) : path_(std::move(path)) {}
 
-  void add(const std::string& op, long long n, double wall_ns) {
-    records_.push_back(Record{op, n, wall_ns});
+  using Extras = std::vector<std::pair<std::string, double>>;
+
+  void add(const std::string& op, long long n, double wall_ns, Extras extras = {}) {
+    records_.push_back(Record{op, n, wall_ns, std::move(extras)});
   }
 
   // Writes the collected records; returns false (and keeps them) on IO error.
@@ -29,9 +33,12 @@ class JsonWriter {
     std::fprintf(f, "[\n");
     for (std::size_t i = 0; i < records_.size(); ++i) {
       const Record& r = records_[i];
-      std::fprintf(f, "  {\"op\": \"%s\", \"n\": %lld, \"wall_ns\": %.1f}%s\n",
-                   escaped(r.op).c_str(), r.n, r.wall_ns,
-                   i + 1 < records_.size() ? "," : "");
+      std::fprintf(f, "  {\"op\": \"%s\", \"n\": %lld, \"wall_ns\": %.1f",
+                   escaped(r.op).c_str(), r.n, r.wall_ns);
+      for (const auto& [key, value] : r.extras) {
+        std::fprintf(f, ", \"%s\": %.6g", escaped(key).c_str(), value);
+      }
+      std::fprintf(f, "}%s\n", i + 1 < records_.size() ? "," : "");
     }
     std::fprintf(f, "]\n");
     std::fclose(f);
@@ -50,6 +57,7 @@ class JsonWriter {
     std::string op;
     long long n;
     double wall_ns;
+    Extras extras;
   };
 
   static std::string escaped(const std::string& s) {

@@ -9,21 +9,19 @@ namespace smpi::platform {
 Platform build_flat_cluster(const FlatClusterParams& params) {
   SMPI_REQUIRE(params.nodes >= 1, "cluster needs at least one node");
   Platform p;
-  std::vector<int> up(params.nodes), down(params.nodes);
+  p.reserve(params.nodes, 2 * params.nodes);
+  ClusterZone zone;
+  zone.up.resize(static_cast<std::size_t>(params.nodes));
+  zone.down.resize(static_cast<std::size_t>(params.nodes));
   for (int i = 0; i < params.nodes; ++i) {
     const std::string id = params.prefix + std::to_string(i);
     p.add_host({id, params.speed_flops, params.cores});
-    up[i] = p.add_link({"up-" + id, params.link_bandwidth_bps, params.link_latency_s,
-                        LinkSharing::kShared});
-    down[i] = p.add_link({"down-" + id, params.link_bandwidth_bps, params.link_latency_s,
-                          LinkSharing::kShared});
+    zone.up[static_cast<std::size_t>(i)] = p.add_link(
+        {"up-" + id, params.link_bandwidth_bps, params.link_latency_s, LinkSharing::kShared});
+    zone.down[static_cast<std::size_t>(i)] = p.add_link(
+        {"down-" + id, params.link_bandwidth_bps, params.link_latency_s, LinkSharing::kShared});
   }
-  for (int i = 0; i < params.nodes; ++i) {
-    for (int j = 0; j < params.nodes; ++j) {
-      if (i == j) continue;
-      p.add_route(i, j, {up[i], down[j]}, /*symmetric=*/false);
-    }
-  }
+  p.add_cluster_zone(std::move(zone));
   return p;
 }
 
@@ -39,52 +37,38 @@ Platform build_hierarchical_cluster(const HierarchicalClusterParams& params) {
   const int num_switches =
       (num_cabinets + params.cabinets_per_switch - 1) / params.cabinets_per_switch;
 
-  std::vector<int> up(static_cast<std::size_t>(total_nodes));
-  std::vector<int> down(static_cast<std::size_t>(total_nodes));
-  std::vector<int> node_switch(static_cast<std::size_t>(total_nodes));
+  p.reserve(total_nodes, 2 * total_nodes + 2 * num_switches);
+  ClusterZone zone;
+  zone.up.resize(static_cast<std::size_t>(total_nodes));
+  zone.down.resize(static_cast<std::size_t>(total_nodes));
+  zone.group.resize(static_cast<std::size_t>(total_nodes));
   int node = 0;
   for (int cab = 0; cab < num_cabinets; ++cab) {
     for (int k = 0; k < params.cabinet_sizes[static_cast<std::size_t>(cab)]; ++k, ++node) {
       const std::string id = params.prefix + std::to_string(node);
       p.add_host({id, params.speed_flops, params.cores});
-      up[static_cast<std::size_t>(node)] =
+      zone.up[static_cast<std::size_t>(node)] =
           p.add_link({"up-" + id, params.node_bandwidth_bps, params.node_latency_s,
                       LinkSharing::kShared});
-      down[static_cast<std::size_t>(node)] =
+      zone.down[static_cast<std::size_t>(node)] =
           p.add_link({"down-" + id, params.node_bandwidth_bps, params.node_latency_s,
                       LinkSharing::kShared});
-      node_switch[static_cast<std::size_t>(node)] = cab / params.cabinets_per_switch;
+      zone.group[static_cast<std::size_t>(node)] = cab / params.cabinets_per_switch;
     }
   }
 
   // Per first-level switch: an uplink pair to the second-level switch.
-  std::vector<int> sw_up(static_cast<std::size_t>(num_switches));
-  std::vector<int> sw_down(static_cast<std::size_t>(num_switches));
+  zone.swup.resize(static_cast<std::size_t>(num_switches));
+  zone.swdown.resize(static_cast<std::size_t>(num_switches));
   for (int s = 0; s < num_switches; ++s) {
-    sw_up[static_cast<std::size_t>(s)] =
+    zone.swup[static_cast<std::size_t>(s)] =
         p.add_link({"swup-" + std::to_string(s), params.uplink_bandwidth_bps,
                     params.uplink_latency_s, LinkSharing::kShared});
-    sw_down[static_cast<std::size_t>(s)] =
+    zone.swdown[static_cast<std::size_t>(s)] =
         p.add_link({"swdown-" + std::to_string(s), params.uplink_bandwidth_bps,
                     params.uplink_latency_s, LinkSharing::kShared});
   }
-
-  for (int i = 0; i < total_nodes; ++i) {
-    for (int j = 0; j < total_nodes; ++j) {
-      if (i == j) continue;
-      const int si = node_switch[static_cast<std::size_t>(i)];
-      const int sj = node_switch[static_cast<std::size_t>(j)];
-      if (si == sj) {
-        p.add_route(i, j, {up[static_cast<std::size_t>(i)], down[static_cast<std::size_t>(j)]},
-                    /*symmetric=*/false);
-      } else {
-        p.add_route(i, j,
-                    {up[static_cast<std::size_t>(i)], sw_up[static_cast<std::size_t>(si)],
-                     sw_down[static_cast<std::size_t>(sj)], down[static_cast<std::size_t>(j)]},
-                    /*symmetric=*/false);
-      }
-    }
-  }
+  p.add_cluster_zone(std::move(zone));
   return p;
 }
 

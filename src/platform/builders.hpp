@@ -10,6 +10,8 @@
 //
 // Every node has one full-duplex NIC modeled as an "up" and a "down" link;
 // inter-switch hops are explicit links, so route_hop_count() counts switches.
+// The builders register one ClusterZone, so routes are computed per pair on
+// demand and a build costs O(nodes) time and memory.
 #pragma once
 
 #include <string>

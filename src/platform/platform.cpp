@@ -6,28 +6,53 @@
 
 namespace smpi::platform {
 
+Route::Route(std::initializer_list<int> links) : size_(links.size()) {
+  SMPI_REQUIRE(links.size() <= kInline, "inline route too long");
+  std::copy(links.begin(), links.end(), inline_);
+}
+
+Route Route::view(const std::vector<int>& links) {
+  Route route;
+  route.external_ = links.data();
+  route.size_ = links.size();
+  return route;
+}
+
+Route ClusterZone::route(int src_host, int dst_host) const {
+  const auto i = static_cast<std::size_t>(src_host - first_host);
+  const auto j = static_cast<std::size_t>(dst_host - first_host);
+  if (group.empty() || group[i] == group[j]) return {up[i], down[j]};
+  return {up[i], swup[static_cast<std::size_t>(group[i])],
+          swdown[static_cast<std::size_t>(group[j])], down[j]};
+}
+
 int Platform::add_host(HostSpec spec) {
   SMPI_REQUIRE(!spec.name.empty(), "host needs a name");
-  SMPI_REQUIRE(host_index_.find(spec.name) == host_index_.end(),
-               "duplicate host '" + spec.name + "'");
   SMPI_REQUIRE(spec.speed_flops > 0, "host speed must be positive");
   SMPI_REQUIRE(spec.cores >= 1, "host needs at least one core");
   const int id = static_cast<int>(hosts_.size());
-  host_index_.emplace(spec.name, id);
+  const bool fresh = host_index_.try_emplace(spec.name, id).second;
+  SMPI_REQUIRE(fresh, "duplicate host '" + spec.name + "'");
   hosts_.push_back(std::move(spec));
   return id;
 }
 
 int Platform::add_link(LinkSpec spec) {
   SMPI_REQUIRE(!spec.name.empty(), "link needs a name");
-  SMPI_REQUIRE(link_index_.find(spec.name) == link_index_.end(),
-               "duplicate link '" + spec.name + "'");
   SMPI_REQUIRE(spec.bandwidth_bps > 0, "link bandwidth must be positive");
   SMPI_REQUIRE(spec.latency_s >= 0, "link latency must be >= 0");
   const int id = static_cast<int>(links_.size());
-  link_index_.emplace(spec.name, id);
+  const bool fresh = link_index_.try_emplace(spec.name, id).second;
+  SMPI_REQUIRE(fresh, "duplicate link '" + spec.name + "'");
   links_.push_back(std::move(spec));
   return id;
+}
+
+void Platform::reserve(int hosts, int links) {
+  hosts_.reserve(static_cast<std::size_t>(hosts));
+  host_index_.reserve(static_cast<std::size_t>(hosts));
+  links_.reserve(static_cast<std::size_t>(links));
+  link_index_.reserve(static_cast<std::size_t>(links));
 }
 
 void Platform::add_route(int src_host, int dst_host, std::vector<int> links, bool symmetric) {
@@ -37,11 +62,38 @@ void Platform::add_route(int src_host, int dst_host, std::vector<int> links, boo
   for (int link : links) {
     SMPI_REQUIRE(link >= 0 && link < link_count(), "route references unknown link");
   }
-  routes_[key(src_host, dst_host)] = links;
+  explicit_routes_[key(src_host, dst_host)] = links;
   if (symmetric) {
     std::reverse(links.begin(), links.end());
-    routes_[key(dst_host, src_host)] = std::move(links);
+    explicit_routes_[key(dst_host, src_host)] = std::move(links);
   }
+}
+
+void Platform::add_cluster_zone(ClusterZone zone) {
+  const int n = zone.host_count();
+  SMPI_REQUIRE(n >= 1, "cluster zone needs at least one host");
+  SMPI_REQUIRE(zone.first_host >= 0 && zone.first_host + n <= host_count(),
+               "cluster zone hosts out of range");
+  SMPI_REQUIRE(zone.down.size() == zone.up.size(), "cluster zone needs one down link per host");
+  SMPI_REQUIRE(zone.group.empty() || zone.group.size() == zone.up.size(),
+               "cluster zone needs one group per host");
+  SMPI_REQUIRE(zone.swdown.size() == zone.swup.size(),
+               "cluster zone needs one swdown link per swup link");
+  for (const ClusterZone& other : zones_) {
+    SMPI_REQUIRE(zone.first_host + n <= other.first_host ||
+                     other.first_host + other.host_count() <= zone.first_host,
+                 "cluster zones overlap");
+  }
+  for (int g : zone.group) {
+    SMPI_REQUIRE(g >= 0 && static_cast<std::size_t>(g) < zone.swup.size(),
+                 "cluster zone group out of range");
+  }
+  for (const auto* ids : {&zone.up, &zone.down, &zone.swup, &zone.swdown}) {
+    for (int link : *ids) {
+      SMPI_REQUIRE(link >= 0 && link < link_count(), "cluster zone references unknown link");
+    }
+  }
+  zones_.push_back(std::move(zone));
 }
 
 void Platform::set_host_speed(int id, double speed_flops) {
@@ -82,30 +134,50 @@ int Platform::find_link(const std::string& name) const {
   return it == link_index_.end() ? -1 : it->second;
 }
 
-bool Platform::has_route(int src_host, int dst_host) const {
-  if (src_host == dst_host) return true;
-  return routes_.find(key(src_host, dst_host)) != routes_.end();
+const ClusterZone* Platform::zone_of(int host) const {
+  for (const ClusterZone& zone : zones_) {
+    if (zone.contains(host)) return &zone;
+  }
+  return nullptr;
 }
 
-const std::vector<int>& Platform::route(int src_host, int dst_host) const {
-  if (src_host == dst_host) return empty_route_;
-  auto it = routes_.find(key(src_host, dst_host));
-  SMPI_REQUIRE(it != routes_.end(), "no route from '" + host(src_host).name + "' to '" +
-                                        host(dst_host).name + "'");
-  return it->second;
+bool Platform::has_route(int src_host, int dst_host) const {
+  if (src_host == dst_host) return true;
+  if (explicit_routes_.count(key(src_host, dst_host)) != 0) return true;
+  const ClusterZone* zone = zone_of(src_host);
+  return zone != nullptr && zone->contains(dst_host);
+}
+
+Route Platform::route(int src_host, int dst_host) const {
+  if (src_host == dst_host) return {};
+  if (!explicit_routes_.empty()) {
+    auto it = explicit_routes_.find(key(src_host, dst_host));
+    if (it != explicit_routes_.end()) return Route::view(it->second);
+  }
+  const ClusterZone* zone = zone_of(src_host);
+  SMPI_REQUIRE(zone != nullptr && zone->contains(dst_host),
+               "no route from '" + host(src_host).name + "' to '" + host(dst_host).name + "'");
+  return zone->route(src_host, dst_host);
 }
 
 double Platform::route_latency(int src_host, int dst_host) const {
-  double total = 0;
-  for (int id : route(src_host, dst_host)) total += link(id).latency_s;
-  return total;
+  return route_latency(route(src_host, dst_host));
 }
 
 double Platform::route_min_bandwidth(int src_host, int dst_host) const {
-  const auto& links = route(src_host, dst_host);
-  SMPI_REQUIRE(!links.empty(), "route with no links has no bandwidth");
-  double min_bw = link(links.front()).bandwidth_bps;
-  for (int id : links) min_bw = std::min(min_bw, link(id).bandwidth_bps);
+  return route_min_bandwidth(route(src_host, dst_host));
+}
+
+double Platform::route_latency(const Route& route) const {
+  double total = 0;
+  for (int id : route) total += link(id).latency_s;
+  return total;
+}
+
+double Platform::route_min_bandwidth(const Route& route) const {
+  SMPI_REQUIRE(!route.empty(), "route with no links has no bandwidth");
+  double min_bw = link(route.front()).bandwidth_bps;
+  for (int id : route) min_bw = std::min(min_bw, link(id).bandwidth_bps);
   return min_bw;
 }
 

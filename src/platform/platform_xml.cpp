@@ -22,20 +22,19 @@ void expand_cluster(Platform& p, const XmlElement& el) {
   const double bw = smpi::util::parse_bandwidth(el.attribute("bw"));
   const double lat = smpi::util::parse_duration(el.attribute("lat"));
 
-  std::vector<int> hosts, up, down;
-  hosts.reserve(ids.size());
+  if (ids.empty()) return;
+  // add_host hands out consecutive ids, so the cluster's hosts form one zone.
+  const int n = static_cast<int>(ids.size());
+  p.reserve(p.host_count() + n, p.link_count() + 2 * n);
+  ClusterZone zone;
+  zone.first_host = p.host_count();
   for (int id : ids) {
     const std::string name = prefix + std::to_string(id) + suffix;
-    hosts.push_back(p.add_host({name, speed, cores}));
-    up.push_back(p.add_link({"up-" + name, bw, lat, LinkSharing::kShared}));
-    down.push_back(p.add_link({"down-" + name, bw, lat, LinkSharing::kShared}));
+    p.add_host({name, speed, cores});
+    zone.up.push_back(p.add_link({"up-" + name, bw, lat, LinkSharing::kShared}));
+    zone.down.push_back(p.add_link({"down-" + name, bw, lat, LinkSharing::kShared}));
   }
-  for (std::size_t i = 0; i < hosts.size(); ++i) {
-    for (std::size_t j = 0; j < hosts.size(); ++j) {
-      if (i == j) continue;
-      p.add_route(hosts[i], hosts[j], {up[i], down[j]}, /*symmetric=*/false);
-    }
-  }
+  p.add_cluster_zone(std::move(zone));
 }
 
 }  // namespace

@@ -10,7 +10,8 @@
 //              bw="125MBps" lat="50us"/>
 //   </platform>
 //
-// <cluster> expands to a flat cluster (one non-blocking switch).
+// <cluster> expands to a flat cluster (one non-blocking switch) routed by a
+// ClusterZone; a <route> between two of its hosts overrides the zone's route.
 #pragma once
 
 #include <string>

@@ -44,8 +44,10 @@ sim::ActivityPtr PacketNetworkModel::start_flow(int src_node, int dst_node, doub
   Flow flow;
   flow.id = next_flow_id_++;
   flow.activity = activity;
-  flow.forward_links = platform_.route(src_node, dst_node);
-  flow.reverse_links = platform_.route(dst_node, src_node);
+  const platform::Route forward = platform_.route(src_node, dst_node);
+  const platform::Route reverse = platform_.route(dst_node, src_node);
+  flow.forward_links.assign(forward.begin(), forward.end());
+  flow.reverse_links.assign(reverse.begin(), reverse.end());
   flow.total = bytes;
   flow.cwnd = config_.slow_start ? config_.initial_window_bytes : config_.max_window_bytes;
   const int id = flow.id;

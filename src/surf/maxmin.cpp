@@ -594,6 +594,12 @@ void MaxMinSystem::solve_subset(const std::vector<int>& cons_ids,
     --unfixed;
   };
 
+  // Exact lower bound on the scale at which the next unfixed variable hits
+  // its bound: fixing variables can only raise that minimum, so the last
+  // scanned value stays a floor. While the floor exceeds the constraint
+  // scale the bound event cannot come first and the scan is skipped; every
+  // branch taken and every value assigned is the same as with the scan.
+  double bound_floor = -MaxMinSystem::kUnbounded;
   while (unfixed > 0) {
     // Scale at which the first constraint saturates.
     double mu_constraint = MaxMinSystem::kUnbounded;
@@ -603,17 +609,21 @@ void MaxMinSystem::solve_subset(const std::vector<int>& cons_ids,
         mu_constraint = std::min(mu_constraint, cons.remaining / cons.weight_sum);
       }
     }
-    // Scale at which the first variable hits its bound.
-    double mu_bound = MaxMinSystem::kUnbounded;
-    for (int v : var_ids) {
-      const auto& var = variables_[static_cast<std::size_t>(v)];
-      if (var.fixed) continue;
-      mu_bound = std::min(mu_bound, var.bound / var.weight);
+    if (!(bound_floor > mu_constraint)) {
+      // Scale at which the first variable hits its bound.
+      double mu_bound = MaxMinSystem::kUnbounded;
+      for (int v : var_ids) {
+        const auto& var = variables_[static_cast<std::size_t>(v)];
+        if (var.fixed) continue;
+        mu_bound = std::min(mu_bound, var.bound / var.weight);
+      }
+      SMPI_ENSURE(std::isfinite(mu_constraint) || std::isfinite(mu_bound),
+                  "unbounded variable attached to no saturable constraint");
+      bound_floor = mu_bound;
     }
-    SMPI_ENSURE(std::isfinite(mu_constraint) || std::isfinite(mu_bound),
-                "unbounded variable attached to no saturable constraint");
 
-    if (mu_bound <= mu_constraint) {
+    if (bound_floor <= mu_constraint) {
+      const double mu_bound = bound_floor;  // scanned this round: exact
       // Fix every variable whose bound event is (numerically) now.
       const double cutoff = mu_bound * (1 + kEpsRel);
       bool fixed_any = false;
@@ -635,11 +645,9 @@ void MaxMinSystem::solve_subset(const std::vector<int>& cons_ids,
         const auto& cons = constraints_[static_cast<std::size_t>(c)];
         if (cons.weight_sum <= 0) continue;
         if (cons.remaining / cons.weight_sum > cutoff) continue;
-        // Iterate over a snapshot (reused scratch, so the steady-state solve
-        // stays allocation-free): fix_variable mutates weight_sum/remaining.
-        fill_members_.assign(cons.variables.begin(), cons.variables.end());
+        // fix_variable mutates weight_sum/remaining, never the member list.
         bool fixed_here = false;
-        for (int v : fill_members_) {
+        for (int v : cons.variables) {
           auto& var = variables_[static_cast<std::size_t>(v)];
           if (!var.active || var.fixed) continue;
           fix_variable(var, mu_constraint * var.weight, c);

@@ -229,7 +229,6 @@ class MaxMinSystem {
   std::vector<int> promoted_cons_;          // scratch: boundaries promoted this round
   std::vector<int> boundary_cons_;          // scratch: current boundary frontier
   std::vector<int> all_cons_;               // scratch: active_cons_ + boundary_cons_
-  std::vector<int> fill_members_;           // scratch: saturation-event member snapshot
   std::vector<int> last_solved_;
   std::vector<int> changed_constraints_;    // observation: ids with .changed set
   std::vector<double> observe_prev_values_;  // scratch: pre-fill values of var_ids

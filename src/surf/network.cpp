@@ -62,9 +62,9 @@ const FlowNetworkModel::RouteInfo& FlowNetworkModel::route_info(int src_node,
   RouteEntry& entry = route_cache_[index];
   if (entry.key != key) {
     entry.key = key;
-    entry.info.links = &platform_.route(src_node, dst_node);
-    entry.info.latency = platform_.route_latency(src_node, dst_node);
-    entry.info.bottleneck = platform_.route_min_bandwidth(src_node, dst_node);
+    entry.info.links = platform_.route(src_node, dst_node);
+    entry.info.latency = platform_.route_latency(entry.info.links);
+    entry.info.bottleneck = platform_.route_min_bandwidth(entry.info.links);
   }
   return entry.info;
 }
@@ -88,7 +88,7 @@ double FlowNetworkModel::uncontended_duration(int src_node, int dst_node, double
   if (config_.contention) {
     // Alone on the route, the solver still caps the flow at each shared
     // link's effective capacity.
-    for (int link : platform_.route(src_node, dst_node)) {
+    for (int link : route_info(src_node, dst_node).links) {
       if (platform_.link(link).sharing == platform::LinkSharing::kShared) {
         rate = std::min(rate, platform_.link(link).bandwidth_bps * config_.bandwidth_efficiency);
       }
@@ -111,7 +111,7 @@ sim::ActivityPtr FlowNetworkModel::start_flow(int src_node, int dst_node, double
     bool up = host_up_[static_cast<std::size_t>(src_node)] != 0 &&
               host_up_[static_cast<std::size_t>(dst_node)] != 0;
     if (up && src_node != dst_node) {
-      up = route_is_up(src_node, dst_node, *route_info(src_node, dst_node).links);
+      up = route_is_up(route_info(src_node, dst_node).links);
     }
     if (!up) {
       activity->finish(sim::Activity::State::kFailed);
@@ -143,13 +143,10 @@ sim::ActivityPtr FlowNetworkModel::start_flow(int src_node, int dst_node, double
   flow.activity = activity;
   flow.bound = bound;
   flow.in_latency = true;
-  // The platform's route storage is immutable for the model's lifetime:
-  // keep a pointer instead of copying the link list.
-  flow.pending_links = route_info(src_node, dst_node).links;
   flow.pending_bytes = bytes;
   flow.src = src_node;
   flow.dst = dst_node;
-  flow.route_links = flow.pending_links;
+  flow.route = route_info(src_node, dst_node).links;
   flow.event = calendar().schedule(engine->now() + latency, this, pack_tag(slot, flow.gen));
   SMPI_LOG_DEBUG(log_surf, "flow " << src_node << "->" << dst_node << " size=" << bytes
                                    << " lat=" << latency << " bound=" << bound);
@@ -176,34 +173,30 @@ void FlowNetworkModel::retire_slot(std::uint32_t slot) {
   flow.var = -1;
   flow.res_flow = -1;
   flow.in_latency = false;
-  flow.pending_links = nullptr;
   flow.src = -1;
   flow.dst = -1;
-  flow.route_links = nullptr;
+  flow.route = {};
   flow.event = sim::EventCalendar::kNoEvent;
   free_slots_.push_back(slot);
   --active_flows_;
 }
 
-void FlowNetworkModel::promote(std::uint32_t slot, std::uint32_t gen,
-                               const std::vector<int>& links, double bytes) {
-  Flow& flow = *slots_[slot];
-  if (flow.gen != gen) return;  // slot already recycled
+void FlowNetworkModel::promote(Flow& flow) {
   if (flow.activity->completed()) {
     // Canceled during the latency phase: the flow never enters the
     // bandwidth-sharing system.
-    retire_slot(slot);
+    retire_slot(flow.slot);
     return;
   }
   const double now = sim::Engine::current()->now();
-  flow.work.start(bytes, now);
+  flow.work.start(flow.pending_bytes, now);
   if (config_.contention) {
     flow.var = system_.new_variable(1.0, flow.bound);
     if (var_to_flow_.size() <= static_cast<std::size_t>(flow.var)) {
       var_to_flow_.resize(static_cast<std::size_t>(flow.var) + 1, nullptr);
     }
     var_to_flow_[static_cast<std::size_t>(flow.var)] = &flow;
-    for (int link : links) {
+    for (int link : flow.route) {
       const int constraint = link_constraint_[static_cast<std::size_t>(link)];
       if (constraint >= 0) system_.attach(flow.var, constraint);
     }
@@ -282,11 +275,8 @@ void FlowNetworkModel::on_calendar_event(double now, std::uint64_t tag) {
   if (flow.gen != gen) return;  // flow already retired
   flow.event = sim::EventCalendar::kNoEvent;
   if (flow.in_latency) {
-    // End of the latency phase: enter the bandwidth-sharing system.
     flow.in_latency = false;
-    const std::vector<int>* links = flow.pending_links;
-    flow.pending_links = nullptr;
-    promote(slot, gen, *links, flow.pending_bytes);
+    promote(flow);
     return;
   }
   SMPI_ENSURE(flow.work.remaining_at(now) <= kRemainingEps,
@@ -320,8 +310,7 @@ void FlowNetworkModel::ensure_fault_state() {
   link_degrade_.assign(static_cast<std::size_t>(platform_.link_count()), 1.0);
 }
 
-bool FlowNetworkModel::route_is_up(int /*src_node*/, int /*dst_node*/,
-                                   const std::vector<int>& links) const {
+bool FlowNetworkModel::route_is_up(const platform::Route& links) const {
   for (int link : links) {
     if (link_up_[static_cast<std::size_t>(link)] == 0) return false;
   }
@@ -359,8 +348,7 @@ void FlowNetworkModel::set_link_up(int link, bool up) {
   link_up_[static_cast<std::size_t>(link)] = up ? 1 : 0;
   if (!up) {
     fail_matching_flows([link](const Flow& flow) {
-      if (flow.route_links == nullptr) return false;
-      for (int l : *flow.route_links) {
+      for (int l : flow.route) {
         if (l == link) return true;
       }
       return false;

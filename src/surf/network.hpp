@@ -110,14 +110,13 @@ class FlowNetworkModel final : public sim::Model, public sim::NetworkBackend {
     // per-message cost at one indexed-heap entry; ordering is unchanged
     // because timers and calendar entries share one (date, seq) order.
     bool in_latency = false;
-    const std::vector<int>* pending_links = nullptr;
     double pending_bytes = 0;
-    // Endpoints and route, kept for the flow's whole lifetime so the fault
-    // layer can find the flows a dead host/link strands (the platform's
-    // route storage is immutable, so the pointer stays valid).
+    // Endpoints and route (by value), kept for the flow's whole lifetime:
+    // the latency phase's end attaches the route's links to the solver, and
+    // the fault layer finds the flows a dead host/link strands.
     int src = -1;
     int dst = -1;
-    const std::vector<int>* route_links = nullptr;
+    platform::Route route;
     sim::ActivityPtr activity;
     sim::FluidWork work;
     int var = -1;  // -1 when not in the solver (no-contention mode)
@@ -126,14 +125,15 @@ class FlowNetworkModel final : public sim::Model, public sim::NetworkBackend {
     sim::EventCalendar::Handle event = sim::EventCalendar::kNoEvent;
   };
 
-  // Per-(src,dst) route digest: the platform's route map is immutable, and
-  // re-deriving latency/bottleneck per flow cost three hash lookups plus two
-  // link walks per message on the collective hot path. Cached in a fixed
-  // direct-mapped table — a collision recomputes and overwrites, which is
-  // always correct and in practice never happens for the near-neighbor
-  // traffic collectives generate.
+  // Per-(src,dst) route digest: re-deriving the route, its latency and its
+  // bottleneck per flow cost a route lookup plus two link walks per message
+  // on the collective hot path. A miss builds the route once and derives
+  // both aggregates from it. Cached in a fixed direct-mapped table — a
+  // collision recomputes and overwrites, which is always correct and in
+  // practice never happens for the near-neighbor traffic collectives
+  // generate.
   struct RouteInfo {
-    const std::vector<int>* links = nullptr;
+    platform::Route links;
     double latency = 0;     // sum of link latencies
     double bottleneck = 0;  // min link bandwidth
   };
@@ -155,8 +155,8 @@ class FlowNetworkModel final : public sim::Model, public sim::NetworkBackend {
   std::uint32_t acquire_slot();
   void retire_slot(std::uint32_t slot);
 
-  void promote(std::uint32_t slot, std::uint32_t gen, const std::vector<int>& links,
-               double bytes);
+  // End of the latency phase: the flow enters the bandwidth-sharing system.
+  void promote(Flow& flow);
   // Re-solve if dirty and reschedule completion events for the flows whose
   // rate changed.
   void resettle(double now);
@@ -164,7 +164,7 @@ class FlowNetworkModel final : public sim::Model, public sim::NetworkBackend {
   void complete(Flow& flow, sim::Activity::State state);
   // Lazily size the availability vectors (first fault only).
   void ensure_fault_state();
-  bool route_is_up(int src_node, int dst_node, const std::vector<int>& links) const;
+  bool route_is_up(const platform::Route& links) const;
   // Fail (kFailed) every active flow for which `doomed` is true.
   template <typename Pred>
   void fail_matching_flows(const Pred& doomed);

@@ -189,6 +189,25 @@ def main():
                                     "resource collector overhead above 1.4x", n,
                                     enabled_ns / disabled_ns))
 
+    # Machine-independent invariant #7: platform builds are linear in the
+    # host count. Cluster routing is computed from host coordinates, so a
+    # doubling of the hosts may at most double the build plus cache-size
+    # effects: t(2N) / t(N) <= 2.5 on the min over repetitions (wall_ns).
+    # The all-pairs route table this replaced scaled 4x per doubling.
+    platform_fresh_path = os.path.join(args.fresh, "BENCH_platform.json")
+    if os.path.exists(platform_fresh_path):
+        platform = load_records(platform_fresh_path)
+        for (op, n), ns in sorted(platform.items()):
+            doubled = platform.get((op, 2 * n))
+            if doubled is None:
+                continue
+            ratio = doubled / ns
+            print(f"  linearity {op:28s} t({2 * n})/t({n}) = {ratio:.2f}")
+            if ratio > 2.5:
+                regressions.append(("BENCH_platform.json",
+                                    f"{op} build not linear: t(2N)/t(N) above 2.5", 2 * n,
+                                    ratio))
+
     if compared == 0:
         print("bench_trend: nothing compared — fresh bench files missing?", file=sys.stderr)
         return 1
