@@ -27,9 +27,9 @@
 #include "bench_json.hpp"
 #include "campaign/runner.hpp"
 #include "campaign/spec.hpp"
+#include "obs/run.hpp"
 #include "platform/builders.hpp"
 #include "smpi/smpi.hpp"
-#include "trace/capture.hpp"
 #include "trace/reader.hpp"
 #include "trace/writer.hpp"
 #include "util/json.hpp"
@@ -55,15 +55,12 @@ int main() {
     smpi::platform::FlatClusterParams params;
     params.nodes = ranks;
     auto platform = smpi::platform::build_flat_cluster(params);
-    smpi::core::SmpiConfig config;
-    smpi::core::SmpiWorld world(platform, config);
     smpi::trace::TiWriter writer(dir, ranks, "ep");
-    smpi::trace::install_capture(&writer, nullptr);
+    smpi::obs::RunCollectors collectors;
+    collectors.ti = &writer;
     smpi::apps::EpParams ep;
     ep.log2_pairs = 20;
-    world.run(ranks, smpi::apps::make_ep_app(ep));
-    smpi::trace::clear_capture();
-    writer.finish();
+    smpi::obs::run_observed(platform, {}, ranks, smpi::apps::make_ep_app(ep), collectors);
   }
   const smpi::trace::TiTrace trace = smpi::trace::load_ti_trace(dir);
 

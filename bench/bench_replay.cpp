@@ -18,9 +18,9 @@
 #include "apps/dt.hpp"
 #include "apps/ep.hpp"
 #include "bench_json.hpp"
+#include "obs/run.hpp"
 #include "platform/builders.hpp"
 #include "smpi/smpi.hpp"
-#include "trace/capture.hpp"
 #include "trace/replay.hpp"
 #include "trace/writer.hpp"
 
@@ -46,13 +46,11 @@ Sample measure(const smpi::platform::Platform& platform, int nprocs,
   Sample sample;
   smpi::core::SmpiConfig config;
   sample.online_wall = wall_seconds([&] {
-    smpi::core::SmpiWorld world(platform, config);
     smpi::trace::TiWriter writer(dir, nprocs, "bench");
-    smpi::trace::install_capture(&writer, nullptr);
-    world.run(nprocs, app);
-    smpi::trace::clear_capture();
-    writer.finish();
-    sample.online_time = world.simulated_time();
+    smpi::obs::RunCollectors collectors;
+    collectors.ti = &writer;
+    sample.online_time =
+        smpi::obs::run_observed(platform, config, nprocs, app, collectors).simulated_time;
   });
   sample.replay_wall = wall_seconds([&] {
     const auto result = smpi::trace::replay_trace(platform, config, dir);

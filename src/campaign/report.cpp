@@ -139,11 +139,21 @@ const char* base_kind_name(CampaignSpec::BaseKind kind) {
   SMPI_UNREACHABLE("bad base kind");
 }
 
-// The result fields shared by single-run scenario rows and per-replication
-// entries. `baseline` is the matching baseline run (same replication), for
-// the paired speedup.
+std::vector<ScenarioAgg> aggregate_all(const CampaignSpec& spec,
+                                       const std::vector<Scenario>& scenarios,
+                                       const CampaignOutcome& outcome) {
+  std::vector<ScenarioAgg> aggs;
+  aggs.reserve(scenarios.size());
+  for (std::size_t i = 0; i < scenarios.size(); ++i) {
+    aggs.push_back(aggregate_scenario(outcome, i, spec.noise.seed));
+  }
+  return aggs;
+}
+
+}  // namespace
+
 void set_result_fields(util::JsonValue& row, const ScenarioResult& r,
-                       const ScenarioResult& baseline) {
+                       const ScenarioResult* baseline) {
   row.set("ok", util::JsonValue::boolean(r.ok));
   row.set("retries", util::JsonValue::number(r.retries));
   if (!r.ok) {
@@ -155,7 +165,9 @@ void set_result_fields(util::JsonValue& row, const ScenarioResult& r,
     return;
   }
   row.set("simulated_time", util::JsonValue::number(r.simulated_time));
-  row.set("speedup_vs_baseline", util::JsonValue::number(speedup_vs_baseline(baseline, r)));
+  if (baseline != nullptr) {
+    row.set("speedup_vs_baseline", util::JsonValue::number(speedup_vs_baseline(*baseline, r)));
+  }
   row.set("wall_s", util::JsonValue::number(r.wall_s));
   row.set("records", util::JsonValue::number(static_cast<double>(r.records)));
   row.set("ranks", util::JsonValue::number(r.ranks));
@@ -217,15 +229,23 @@ void set_result_fields(util::JsonValue& row, const ScenarioResult& r,
   }
 }
 
-// Inverse of set_result_fields, reading a resumed report's row or
-// replication entry back into a ScenarioResult.
-void read_result_fields(const util::JsonValue& row, ScenarioResult& r) {
-  r.ok = row.at("ok", "resume report row").as_bool();
-  // Lenient: reports written before the hardened harness carry none of
-  // these fields.
-  if (const auto* retries = row.find("retries")) r.retries = static_cast<int>(retries->as_int());
+void read_result_fields(const util::JsonValue& row, ScenarioResult& r, ResultSource source) {
+  // A resumed report may predate the hardened harness (no retries, error,
+  // timed_out, worker_exit) or the p2p counters; those read as defaults. A
+  // capsule comes from this very build and must carry every one of them.
+  const bool lenient = source == ResultSource::kResumedReport;
+  const std::string what = lenient ? "resume report row" : "campaign capsule";
+  const std::string prefix = lenient ? "resume " : "campaign capsule ";
+  auto field = [&](const util::JsonValue& object, const char* key,
+                   const std::string& context) -> const util::JsonValue* {
+    return lenient ? object.find(key) : &object.at(key, context);
+  };
+  r.ok = row.at("ok", what).as_bool();
+  if (const auto* retries = field(row, "retries", what)) {
+    r.retries = static_cast<int>(retries->as_int());
+  }
   if (!r.ok) {
-    if (const auto* error = row.find("error")) r.error = error->as_string();
+    if (const auto* error = field(row, "error", what)) r.error = error->as_string();
     if (const auto* timed_out = row.find("timed_out")) r.timed_out = timed_out->as_bool();
     if (const auto* worker_exit = row.find("worker_exit")) {
       r.worker_exit = worker_exit->as_string();
@@ -233,31 +253,28 @@ void read_result_fields(const util::JsonValue& row, ScenarioResult& r) {
     return;
   }
   r.error.clear();
-  r.simulated_time = row.at("simulated_time", "resume report row").as_number();
-  r.wall_s = row.at("wall_s", "resume report row").as_number();
-  r.records = row.at("records", "resume report row").as_int();
-  r.ranks = static_cast<int>(row.at("ranks", "resume report row").as_int());
-  r.arena_bytes =
-      static_cast<std::uint64_t>(row.at("arena_bytes", "resume report row").as_int());
-  const auto& breakdown = row.at("breakdown", "resume report row");
-  for (const auto& v : breakdown.at("rank_compute_s", "resume breakdown").items()) {
+  r.simulated_time = row.at("simulated_time", what).as_number();
+  r.wall_s = row.at("wall_s", what).as_number();
+  r.records = row.at("records", what).as_int();
+  r.ranks = static_cast<int>(row.at("ranks", what).as_int());
+  r.arena_bytes = static_cast<std::uint64_t>(row.at("arena_bytes", what).as_int());
+  const auto& breakdown = row.at("breakdown", what);
+  for (const auto& v : breakdown.at("rank_compute_s", prefix + "breakdown").items()) {
     r.rank_compute_s.push_back(v.as_number());
   }
-  for (const auto& v : breakdown.at("rank_comm_s", "resume breakdown").items()) {
+  for (const auto& v : breakdown.at("rank_comm_s", prefix + "breakdown").items()) {
     r.rank_comm_s.push_back(v.as_number());
   }
-  const auto& solver = row.at("solver", "resume report row");
-  r.solver_solves =
-      static_cast<std::uint64_t>(solver.at("solves", "resume solver").as_int());
+  const auto& solver = row.at("solver", what);
+  r.solver_solves = static_cast<std::uint64_t>(solver.at("solves", prefix + "solver").as_int());
   r.solver_vars_touched =
-      static_cast<std::uint64_t>(solver.at("vars_touched", "resume solver").as_int());
+      static_cast<std::uint64_t>(solver.at("vars_touched", prefix + "solver").as_int());
   r.solver_cons_touched =
-      static_cast<std::uint64_t>(solver.at("cons_touched", "resume solver").as_int());
-  // Lenient: reports written before the p2p counters existed resume fine
-  // (the counters simply stay zero for adopted rows).
-  if (const auto* p2p = row.find("p2p")) {
+      static_cast<std::uint64_t>(solver.at("cons_touched", prefix + "solver").as_int());
+  // Adopted rows of a report without p2p counters keep them at zero.
+  if (const auto* p2p = field(row, "p2p", what)) {
     auto u64 = [&](const char* key) {
-      const auto* v = p2p->find(key);
+      const auto* v = field(*p2p, key, prefix + "p2p");
       return v == nullptr ? std::uint64_t{0} : static_cast<std::uint64_t>(v->as_int());
     };
     r.p2p.pool_hits = u64("pool_hits");
@@ -267,46 +284,32 @@ void read_result_fields(const util::JsonValue& row, ScenarioResult& r) {
     r.p2p.eager_flush_snapshots = u64("eager_flush_snapshots");
     r.p2p.bytes_not_copied = u64("bytes_not_copied");
   }
-  // Lenient likewise for the analysis block (reports written before it
-  // existed, or with "analysis": false in the spec).
+  // The analysis and resource blocks are present exactly when the run
+  // collected them ("analysis"/"resources" in the spec; older reports lack
+  // them).
   if (const auto* analysis = row.find("analysis")) {
     r.analyzed = true;
-    r.wait_fraction = analysis->at("wait_fraction", "resume analysis").as_number();
-    r.critical_path_s = analysis->at("critical_path_s", "resume analysis").as_number();
-    r.cp_compute_s = analysis->at("cp_compute_s", "resume analysis").as_number();
-    r.cp_comm_s = analysis->at("cp_comm_s", "resume analysis").as_number();
-    r.dominant_wait = analysis->at("dominant_wait", "resume analysis").as_string();
-    for (const auto& v : analysis->at("rank_wait_s", "resume analysis").items()) {
+    r.wait_fraction = analysis->at("wait_fraction", prefix + "analysis").as_number();
+    r.critical_path_s = analysis->at("critical_path_s", prefix + "analysis").as_number();
+    r.cp_compute_s = analysis->at("cp_compute_s", prefix + "analysis").as_number();
+    r.cp_comm_s = analysis->at("cp_comm_s", prefix + "analysis").as_number();
+    r.dominant_wait = analysis->at("dominant_wait", prefix + "analysis").as_string();
+    for (const auto& v : analysis->at("rank_wait_s", prefix + "analysis").items()) {
       r.rank_wait_s.push_back(v.as_number());
     }
-    for (const auto& v : analysis->at("rank_transfer_s", "resume analysis").items()) {
+    for (const auto& v : analysis->at("rank_transfer_s", prefix + "analysis").items()) {
       r.rank_transfer_s.push_back(v.as_number());
     }
   }
-  // And for the resource-bottleneck block ("resources": false, or older
-  // reports).
   if (const auto* resources = row.find("resources")) {
     r.resources_analyzed = true;
-    r.top_bottleneck = resources->at("top_bottleneck", "resume resources").as_string();
+    r.top_bottleneck = resources->at("top_bottleneck", prefix + "resources").as_string();
     r.bottleneck_saturated_s =
-        resources->at("bottleneck_saturated_s", "resume resources").as_number();
+        resources->at("bottleneck_saturated_s", prefix + "resources").as_number();
     r.max_link_utilization =
-        resources->at("max_link_utilization", "resume resources").as_number();
+        resources->at("max_link_utilization", prefix + "resources").as_number();
   }
 }
-
-std::vector<ScenarioAgg> aggregate_all(const CampaignSpec& spec,
-                                       const std::vector<Scenario>& scenarios,
-                                       const CampaignOutcome& outcome) {
-  std::vector<ScenarioAgg> aggs;
-  aggs.reserve(scenarios.size());
-  for (std::size_t i = 0; i < scenarios.size(); ++i) {
-    aggs.push_back(aggregate_scenario(outcome, i, spec.noise.seed));
-  }
-  return aggs;
-}
-
-}  // namespace
 
 util::JsonValue report_json(const CampaignSpec& spec, const std::vector<Scenario>& scenarios,
                             const CampaignOutcome& outcome) {
@@ -355,7 +358,7 @@ util::JsonValue report_json(const CampaignSpec& spec, const std::vector<Scenario
     row.set("label", util::JsonValue::string(scenario.label));
     row.set("params", params_json(scenario));
     if (reps == 1) {
-      set_result_fields(row, outcome.results[i], baseline);
+      set_result_fields(row, outcome.results[i], &baseline);
       rows.append(std::move(row));
       continue;
     }
@@ -372,7 +375,7 @@ util::JsonValue report_json(const CampaignSpec& spec, const std::vector<Scenario
       const ScenarioResult& rep_baseline = outcome.results[static_cast<std::size_t>(rep)];
       util::JsonValue entry = util::JsonValue::object();
       entry.set("rep", util::JsonValue::number(rep));
-      set_result_fields(entry, r, rep_baseline);
+      set_result_fields(entry, r, &rep_baseline);
       rep_rows.append(std::move(entry));
     }
     row.set("replications", std::move(rep_rows));
@@ -724,7 +727,7 @@ std::vector<ScenarioResult> results_from_report(const util::JsonValue& report,
                      scenarios[index].label + "' in the spec but '" + label +
                      "' in the report — the axes changed, start a fresh sweep");
     if (reps == 1) {
-      read_result_fields(row, results[index]);
+      read_result_fields(row, results[index], ResultSource::kResumedReport);
       continue;
     }
     for (const auto& entry : row.at("replications", "resume report row").items()) {
@@ -732,7 +735,8 @@ std::vector<ScenarioResult> results_from_report(const util::JsonValue& report,
       SMPI_REQUIRE(rep >= 0 && rep < reps,
                    "campaign resume: replication index out of range");
       read_result_fields(
-          entry, results[index * static_cast<std::size_t>(reps) + static_cast<std::size_t>(rep)]);
+          entry, results[index * static_cast<std::size_t>(reps) + static_cast<std::size_t>(rep)],
+          ResultSource::kResumedReport);
     }
   }
   return results;

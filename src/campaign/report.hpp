@@ -27,6 +27,19 @@
 
 namespace smpi::campaign {
 
+// The result object of one run, the one codec for campaign results: a
+// single-run scenario row and a replication entry carry it, and a worker
+// sends it to the parent as its capsule. set_result_fields writes it into
+// `row`; `baseline` is the matching baseline run (same replication) for the
+// paired speedup, which is left out when null (a worker does not know the
+// baseline). read_result_fields reads it back into a fresh ScenarioResult:
+// leniently from a resumed report (older reports lack the harness fields
+// and the p2p block), strictly from a capsule.
+enum class ResultSource { kResumedReport, kCapsule };
+void set_result_fields(util::JsonValue& row, const ScenarioResult& r,
+                       const ScenarioResult* baseline);
+void read_result_fields(const util::JsonValue& row, ScenarioResult& r, ResultSource source);
+
 // Full report document (serialize with .dump(2) for files).
 util::JsonValue report_json(const CampaignSpec& spec, const std::vector<Scenario>& scenarios,
                             const CampaignOutcome& outcome);

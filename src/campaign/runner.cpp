@@ -16,6 +16,7 @@
 #include <cstdio>
 #include <cstring>
 
+#include "campaign/report.hpp"
 #include "obs/resource.hpp"
 #include "trace/replay.hpp"
 #include "util/check.hpp"
@@ -36,122 +37,6 @@ double max_of(const std::vector<double>& v) {
   double best = 0;
   for (double x : v) best = std::max(best, x);
   return best;
-}
-
-// --- capsule (de)serialization ---------------------------------------------
-
-util::JsonValue doubles_json(const std::vector<double>& values) {
-  util::JsonValue array = util::JsonValue::array();
-  for (double v : values) array.append(util::JsonValue::number(v));
-  return array;
-}
-
-std::vector<double> doubles_from(const util::JsonValue& array) {
-  std::vector<double> out;
-  out.reserve(array.items().size());
-  for (const auto& v : array.items()) out.push_back(v.as_number());
-  return out;
-}
-
-std::string encode_capsule(const ScenarioResult& r) {
-  util::JsonValue capsule = util::JsonValue::object();
-  capsule.set("id", util::JsonValue::number(r.id));
-  capsule.set("rep", util::JsonValue::number(r.rep));
-  capsule.set("ok", util::JsonValue::boolean(r.ok));
-  if (!r.ok) {
-    capsule.set("error", util::JsonValue::string(r.error));
-    return capsule.dump();
-  }
-  capsule.set("simulated_time", util::JsonValue::number(r.simulated_time));
-  capsule.set("wall_s", util::JsonValue::number(r.wall_s));
-  capsule.set("records", util::JsonValue::number(static_cast<double>(r.records)));
-  capsule.set("ranks", util::JsonValue::number(r.ranks));
-  capsule.set("arena_bytes", util::JsonValue::number(static_cast<double>(r.arena_bytes)));
-  capsule.set("rank_compute_s", doubles_json(r.rank_compute_s));
-  capsule.set("rank_comm_s", doubles_json(r.rank_comm_s));
-  capsule.set("solver_solves", util::JsonValue::number(static_cast<double>(r.solver_solves)));
-  capsule.set("solver_vars_touched",
-              util::JsonValue::number(static_cast<double>(r.solver_vars_touched)));
-  capsule.set("solver_cons_touched",
-              util::JsonValue::number(static_cast<double>(r.solver_cons_touched)));
-  capsule.set("pool_hits", util::JsonValue::number(static_cast<double>(r.p2p.pool_hits)));
-  capsule.set("pool_misses", util::JsonValue::number(static_cast<double>(r.p2p.pool_misses)));
-  capsule.set("eager_snapshots",
-              util::JsonValue::number(static_cast<double>(r.p2p.eager_snapshots)));
-  capsule.set("eager_copy_elided",
-              util::JsonValue::number(static_cast<double>(r.p2p.eager_copy_elided)));
-  capsule.set("eager_flush_snapshots",
-              util::JsonValue::number(static_cast<double>(r.p2p.eager_flush_snapshots)));
-  capsule.set("bytes_not_copied",
-              util::JsonValue::number(static_cast<double>(r.p2p.bytes_not_copied)));
-  if (r.analyzed) {
-    capsule.set("wait_fraction", util::JsonValue::number(r.wait_fraction));
-    capsule.set("critical_path_s", util::JsonValue::number(r.critical_path_s));
-    capsule.set("cp_compute_s", util::JsonValue::number(r.cp_compute_s));
-    capsule.set("cp_comm_s", util::JsonValue::number(r.cp_comm_s));
-    capsule.set("dominant_wait", util::JsonValue::string(r.dominant_wait));
-    capsule.set("rank_wait_s", doubles_json(r.rank_wait_s));
-    capsule.set("rank_transfer_s", doubles_json(r.rank_transfer_s));
-  }
-  if (r.resources_analyzed) {
-    capsule.set("top_bottleneck", util::JsonValue::string(r.top_bottleneck));
-    capsule.set("bottleneck_saturated_s",
-                util::JsonValue::number(r.bottleneck_saturated_s));
-    capsule.set("max_link_utilization",
-                util::JsonValue::number(r.max_link_utilization));
-  }
-  return capsule.dump();
-}
-
-ScenarioResult decode_capsule(const std::string& text) {
-  const util::JsonValue capsule = util::parse_json(text, "campaign capsule");
-  ScenarioResult r;
-  r.id = static_cast<int>(capsule.at("id", "capsule").as_int());
-  r.rep = static_cast<int>(capsule.at("rep", "capsule").as_int());
-  r.ok = capsule.at("ok", "capsule").as_bool();
-  if (!r.ok) {
-    r.error = capsule.at("error", "capsule").as_string();
-    return r;
-  }
-  r.simulated_time = capsule.at("simulated_time", "capsule").as_number();
-  r.wall_s = capsule.at("wall_s", "capsule").as_number();
-  r.records = capsule.at("records", "capsule").as_int();
-  r.ranks = static_cast<int>(capsule.at("ranks", "capsule").as_int());
-  r.arena_bytes = static_cast<std::uint64_t>(capsule.at("arena_bytes", "capsule").as_int());
-  r.rank_compute_s = doubles_from(capsule.at("rank_compute_s", "capsule"));
-  r.rank_comm_s = doubles_from(capsule.at("rank_comm_s", "capsule"));
-  r.solver_solves = static_cast<std::uint64_t>(capsule.at("solver_solves", "capsule").as_int());
-  r.solver_vars_touched =
-      static_cast<std::uint64_t>(capsule.at("solver_vars_touched", "capsule").as_int());
-  r.solver_cons_touched =
-      static_cast<std::uint64_t>(capsule.at("solver_cons_touched", "capsule").as_int());
-  r.p2p.pool_hits = static_cast<std::uint64_t>(capsule.at("pool_hits", "capsule").as_int());
-  r.p2p.pool_misses = static_cast<std::uint64_t>(capsule.at("pool_misses", "capsule").as_int());
-  r.p2p.eager_snapshots =
-      static_cast<std::uint64_t>(capsule.at("eager_snapshots", "capsule").as_int());
-  r.p2p.eager_copy_elided =
-      static_cast<std::uint64_t>(capsule.at("eager_copy_elided", "capsule").as_int());
-  r.p2p.eager_flush_snapshots =
-      static_cast<std::uint64_t>(capsule.at("eager_flush_snapshots", "capsule").as_int());
-  r.p2p.bytes_not_copied =
-      static_cast<std::uint64_t>(capsule.at("bytes_not_copied", "capsule").as_int());
-  if (const auto* wait_fraction = capsule.find("wait_fraction")) {
-    r.analyzed = true;
-    r.wait_fraction = wait_fraction->as_number();
-    r.critical_path_s = capsule.at("critical_path_s", "capsule").as_number();
-    r.cp_compute_s = capsule.at("cp_compute_s", "capsule").as_number();
-    r.cp_comm_s = capsule.at("cp_comm_s", "capsule").as_number();
-    r.dominant_wait = capsule.at("dominant_wait", "capsule").as_string();
-    r.rank_wait_s = doubles_from(capsule.at("rank_wait_s", "capsule"));
-    r.rank_transfer_s = doubles_from(capsule.at("rank_transfer_s", "capsule"));
-  }
-  if (const auto* top = capsule.find("top_bottleneck")) {
-    r.resources_analyzed = true;
-    r.top_bottleneck = top->as_string();
-    r.bottleneck_saturated_s = capsule.at("bottleneck_saturated_s", "capsule").as_number();
-    r.max_link_utilization = capsule.at("max_link_utilization", "capsule").as_number();
-  }
-  return r;
 }
 
 // --- pipe helpers -----------------------------------------------------------
@@ -303,7 +188,11 @@ constexpr std::int32_t kTaskHang = 2;   // sleep forever (watchdog drill)
     const ScenarioResult result =
         run_one_scenario(spec, scenarios[static_cast<std::size_t>(task.id / replications)],
                          task.id % replications, trace, arena_bytes);
-    const std::string capsule = encode_capsule(result);
+    util::JsonValue result_json = util::JsonValue::object();
+    result_json.set("id", util::JsonValue::number(result.id));
+    result_json.set("rep", util::JsonValue::number(result.rep));
+    set_result_fields(result_json, result, nullptr);
+    const std::string capsule = result_json.dump();
     const auto length = static_cast<std::uint32_t>(capsule.size());
     if (!write_exact(result_fd, &length, sizeof length) ||
         !write_exact(result_fd, capsule.data(), capsule.size())) {
@@ -567,9 +456,16 @@ CampaignOutcome run_campaign(const CampaignSpec& spec, const std::vector<Scenari
         dispatch(worker);
         continue;
       }
-      ScenarioResult result = decode_capsule(capsule);
+      const util::JsonValue capsule_json = util::parse_json(capsule, "campaign capsule");
+      ScenarioResult result;
+      result.id = static_cast<int>(capsule_json.at("id", "campaign capsule").as_int());
+      result.rep = static_cast<int>(capsule_json.at("rep", "campaign capsule").as_int());
       SMPI_ENSURE(result.id == id / reps && result.rep == id % reps,
                   "campaign capsule for the wrong unit");
+      read_result_fields(capsule_json, result, ResultSource::kCapsule);
+      SMPI_ENSURE(!result.ok || (result.analyzed == spec.analysis &&
+                                 result.resources_analyzed == spec.resources),
+                  "campaign capsule lacks a result block its spec asks for");
       result.retries = attempts[static_cast<std::size_t>(id)] - 1;
       if (options.progress) {
         std::fprintf(stderr, "campaign: unit %d/%zu %s (%s)\n", id + 1, units,

@@ -11,7 +11,10 @@
 // Protocol (all pipes, no shared memory):
 //   parent -> worker : {int32 scenario id, int32 flags}; id -1 = shut down
 //                      (flags carry the harness-test fault-injection hooks)
-//   worker -> parent : uint32 capsule length + capsule bytes (JSON)
+//   worker -> parent : uint32 capsule length + capsule bytes: the unit's
+//                      id and rep plus the report's result object
+//                      (set_result_fields in report.hpp), which the parent
+//                      reads back strictly with the resume reader
 //
 // Capsules are self-describing JSON so a dead worker can only lose its own
 // in-flight scenario. The parent is hardened against misbehaving workers:

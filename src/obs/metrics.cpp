@@ -4,6 +4,7 @@
 
 #include "obs/analysis.hpp"
 #include "obs/profile.hpp"
+#include "obs/run.hpp"
 #include "smpi/smpi.hpp"
 #include "util/json.hpp"
 
@@ -98,16 +99,20 @@ void collect_analysis(MetricsRegistry& registry, const AnalysisResult& analysis)
   registry.set("analysis.cp_comm_s", analysis.cp_comm_s);
 }
 
-void collect_surf(MetricsRegistry& registry, std::uint64_t solves_attach,
-                  std::uint64_t solves_release, std::uint64_t solves_capacity,
-                  std::uint64_t solves_bound, std::uint64_t saturation_events,
-                  std::uint64_t snapshot_drains) {
-  registry.set_counter("surf.solves_attach", solves_attach);
-  registry.set_counter("surf.solves_release", solves_release);
-  registry.set_counter("surf.solves_capacity", solves_capacity);
-  registry.set_counter("surf.solves_bound", solves_bound);
-  registry.set_counter("surf.saturation_events", saturation_events);
-  registry.set_counter("surf.snapshot_drains", snapshot_drains);
+void collect_surf(MetricsRegistry& registry, const surf::MaxMinSystem::ObserveCounters& counters) {
+  registry.set_counter("surf.solves_attach", counters.solves_attach);
+  registry.set_counter("surf.solves_release", counters.solves_release);
+  registry.set_counter("surf.solves_capacity", counters.solves_capacity);
+  registry.set_counter("surf.solves_bound", counters.solves_bound);
+  registry.set_counter("surf.saturation_events", counters.saturation_events);
+  registry.set_counter("surf.snapshot_drains", counters.observe_drains);
+}
+
+void collect_run(MetricsRegistry& registry, const RunTotals& totals) {
+  collect_p2p(registry, totals.p2p);
+  collect_solver(registry, totals.solver_solves, totals.solver_vars_touched,
+                 totals.solver_cons_touched);
+  collect_surf(registry, totals.surf_observe);
 }
 
 void collect_profile(MetricsRegistry& registry, const Profiler& profiler) {

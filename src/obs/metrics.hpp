@@ -1,6 +1,6 @@
 // Unified metrics registry: one ordered name -> value store that every
-// reporting surface (smpirun --verbose/--analyze, ti_inspect --summary,
-// campaign capsules) renders from, replacing the ad-hoc printf plumbing of
+// counter surface (smpirun --verbose, online and --replay, and ti_inspect
+// --summary) renders from, replacing the ad-hoc printf plumbing of
 // P2pCounters / RankUsage / solver counters. Collectors read the existing
 // counter structs — they never replace or reset them, so the underlying
 // values stay bit-identical to the pre-registry paths.
@@ -9,6 +9,8 @@
 #include <cstdint>
 #include <string>
 #include <vector>
+
+#include "surf/maxmin.hpp"
 
 namespace smpi::util {
 class JsonValue;
@@ -22,6 +24,7 @@ namespace smpi::obs {
 
 struct AnalysisResult;
 class Profiler;
+struct RunTotals;
 
 struct Metric {
   std::string name;
@@ -54,10 +57,9 @@ void collect_solver(MetricsRegistry& registry, std::uint64_t solves, std::uint64
 void collect_analysis(MetricsRegistry& registry, const AnalysisResult& analysis);
 void collect_profile(MetricsRegistry& registry, const Profiler& profiler);
 // surf.* namespace: solver trigger classes plus observation-hook counters,
-// summed across the network and CPU solvers (MaxMinSystem::ObserveCounters).
-void collect_surf(MetricsRegistry& registry, std::uint64_t solves_attach,
-                  std::uint64_t solves_release, std::uint64_t solves_capacity,
-                  std::uint64_t solves_bound, std::uint64_t saturation_events,
-                  std::uint64_t snapshot_drains);
+// summed across the network and CPU solvers.
+void collect_surf(MetricsRegistry& registry, const surf::MaxMinSystem::ObserveCounters& counters);
+// The counter block of one observed run: p2p.*, solver.* and surf.*.
+void collect_run(MetricsRegistry& registry, const RunTotals& totals);
 
 }  // namespace smpi::obs

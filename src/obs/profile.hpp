@@ -50,8 +50,8 @@ class Profiler {
   }
   const ProfStats& stats(ProfKey key) const { return slots_[static_cast<std::size_t>(key)]; }
 
-  // Total wall clock of the profiled region (set by the driver around the
-  // run, so bucket fractions have a denominator).
+  // Total wall clock of the profiled region (set by obs::run_observed around
+  // building and running the world, so bucket fractions have a denominator).
   void set_total_wall(double seconds) { total_wall_s_ = seconds; }
   double total_wall() const { return total_wall_s_; }
 

@@ -109,7 +109,10 @@ void start_rendezvous_transfer(std::shared_ptr<Envelope> env, Request& recv) {
   auto data_flow = world->network().start_flow(world->process(env->src_world_rank)->node,
                                                world->process(env->dst_world_rank)->node,
                                                static_cast<double>(env->bytes), {});
-  env->data_flow = data_flow;
+  // Not stored on the envelope: the completion callback below owns `env`,
+  // and an abort freezes the engine before that callback fires, so the
+  // cycle env -> flow -> callback -> env would leak. The network model holds
+  // the flow while it is in flight.
   if (obs::spans_enabled()) {
     // The rendezvous data transfer begins now, for both blocked sides.
     const double now = world->engine().now();
@@ -171,7 +174,16 @@ void match(std::shared_ptr<Envelope> env, Request& recv) {
   // Rendezvous: CTS back to the sender (emulated mode), then the data.
   if (world->config().personality.emulate_protocol_messages) {
     Request* recv_ptr = &recv;
-    auto after_rts = [env, recv_ptr, world](sim::Activity& rts) {
+    // The hook owns the envelope, so until it fires the envelope must not
+    // own the RTS: an abort freezes the engine before the RTS lands, and
+    // env -> RTS -> hook -> env would leak. The network model (or its
+    // latency timer) holds the flow meanwhile; the hook hands it back to
+    // the envelope, so it is freed when the envelope is, as before.
+    const sim::ActivityPtr rts_flow = std::move(env->rts_flow);
+    SMPI_ENSURE(rts_flow != nullptr, "emulated rendezvous without RTS");
+    auto after_rts = [env, recv_ptr, world,
+                      rts_ref = std::weak_ptr<sim::Activity>(rts_flow)](sim::Activity& rts) {
+      env->rts_flow = rts_ref.lock();
       if (world->aborted()) return;  // request frames may be gone
       if (rts.state() != sim::Activity::State::kDone) {
         fail_rendezvous(*env, *recv_ptr, rts.state());
@@ -188,8 +200,7 @@ void match(std::shared_ptr<Envelope> env, Request& recv) {
         start_rendezvous_transfer(env, *recv_ptr);
       });
     };
-    SMPI_ENSURE(env->rts_flow != nullptr, "emulated rendezvous without RTS");
-    env->rts_flow->on_completion(after_rts);
+    rts_flow->on_completion(after_rts);
     return;
   }
   start_rendezvous_transfer(env, recv);

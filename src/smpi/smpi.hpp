@@ -179,6 +179,10 @@ class SmpiWorld {
   const SmpiConfig& config() const { return config_; }
   sim::NetworkBackend& network() { return *network_; }
   sim::ComputeBackend& cpu() { return *cpu_; }
+  // The surf models behind network()/cpu(); flow_network() is null under
+  // the packet backend.
+  surf::FlowNetworkModel* flow_network() { return flow_network_; }
+  surf::CpuModel& cpu_model() { return *cpu_model_; }
 
   // --- internal services (used by the MPI call implementations) -----------
   static SmpiWorld* instance();

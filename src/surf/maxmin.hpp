@@ -143,6 +143,16 @@ class MaxMinSystem {
     std::uint64_t solves_bound = 0;
     std::uint64_t saturation_events = 0;
     std::uint64_t observe_drains = 0;
+
+    ObserveCounters& operator+=(const ObserveCounters& other) {
+      solves_attach += other.solves_attach;
+      solves_release += other.solves_release;
+      solves_capacity += other.solves_capacity;
+      solves_bound += other.solves_bound;
+      saturation_events += other.saturation_events;
+      observe_drains += other.observe_drains;
+      return *this;
+    }
   };
   const ObserveCounters& observe_counters() const { return observe_counters_; }
 

@@ -10,10 +10,6 @@
 #include "obs/span.hpp"
 #include "smpi/internals.hpp"
 #include "smpi/mpi.h"
-#include "surf/cpu.hpp"
-#include "surf/network.hpp"
-#include "trace/capture.hpp"
-#include "trace/paje.hpp"
 #include "trace/reader.hpp"
 #include "util/check.hpp"
 
@@ -321,87 +317,27 @@ ReplayResult replay_trace(const platform::Platform& platform, core::SmpiConfig c
   // would move memory out from under a suspended rank's collective.
   const long long arena_bytes =
       options.arena_bytes_hint > 0 ? options.arena_bytes_hint : compute_arena_bytes(trace);
-  auto arena = std::make_shared<std::vector<unsigned char>>(
-      static_cast<std::size_t>(arena_bytes));
-  auto usage = std::make_shared<std::vector<RankUsage>>(
-      static_cast<std::size_t>(trace.nranks));
+  std::vector<unsigned char> arena(static_cast<std::size_t>(arena_bytes));
+  std::vector<RankUsage> usage(static_cast<std::size_t>(trace.nranks));
 
   config.payload_free = options.payload_free;
-  // The resource collector must be live *before* the world is built: the
-  // surf models register their links/hosts and enable the solver's
-  // changed-tracking in their constructors.
-  if (options.resources != nullptr) obs::install_resources(options.resources);
-  core::SmpiWorld world(platform, config);
-  std::unique_ptr<obs::SpanCollector> spans;
-  if (options.analyze) {
-    spans = std::make_unique<obs::SpanCollector>(trace.nranks);
-    obs::install_spans(spans.get());
-  }
-  if (options.paje != nullptr) {
-    install_capture(nullptr, options.paje);
-    options.paje->begin(trace.nranks);
-  }
-  try {
-    world.run(trace.nranks,
-              [&trace, arena, usage](int, char**) { replay_rank(trace, *arena, *usage); }, {},
-              "ti-replay:" + trace.app);
-  } catch (...) {
-    // Never leave the global instrumentation dangling onto the caller-owned
-    // writer/collector (or this frame's span collector) once this frame
-    // unwinds.
-    if (options.paje != nullptr) clear_capture();
-    if (spans != nullptr) obs::clear_spans();
-    if (options.resources != nullptr) obs::clear_resources();
-    throw;
-  }
-  if (options.paje != nullptr) {
-    clear_capture();
-    options.paje->finish(world.simulated_time());
-  }
-  if (spans != nullptr) obs::clear_spans();
-  if (options.resources != nullptr) {
-    // Final drain: the last completions' usage drops may still sit in the
-    // solvers' changed sets (no settle runs after the last event).
-    if (auto* net = dynamic_cast<surf::FlowNetworkModel*>(&world.network())) {
-      net->flush_observations(world.simulated_time());
-    }
-    if (auto* cpu = dynamic_cast<surf::CpuModel*>(&world.cpu())) {
-      cpu->flush_observations(world.simulated_time());
-    }
-    obs::clear_resources();
-    options.resources->finalize(world.simulated_time());
-  }
-
   ReplayResult result;
-  result.simulated_time = world.simulated_time();
+  std::shared_ptr<obs::SpanCollector> spans;
+  if (options.analyze) spans = std::make_shared<obs::SpanCollector>(trace.nranks);
+  obs::RunCollectors collectors;
+  collectors.paje = options.paje;
+  collectors.spans = spans.get();
+  collectors.resources = options.resources;
+  collectors.profiler = options.profiler;
+  static_cast<obs::RunTotals&>(result) = obs::run_observed(
+      platform, config, trace.nranks,
+      [&trace, &arena, &usage](int, char**) { replay_rank(trace, arena, usage); }, collectors,
+      "ti-replay:" + trace.app);
   result.records = trace.total_records();
   result.ranks = trace.nranks;
-  result.aborted = world.aborted();
-  result.abort_code = world.abort_code();
-  result.failure = world.failure_diagnostic();
   result.arena_bytes = static_cast<std::uint64_t>(arena_bytes);
-  result.rank_usage = std::move(*usage);
-  auto add_observe = [&result](const surf::MaxMinSystem::ObserveCounters& oc) {
-    result.surf_observe.solves_attach += oc.solves_attach;
-    result.surf_observe.solves_release += oc.solves_release;
-    result.surf_observe.solves_capacity += oc.solves_capacity;
-    result.surf_observe.solves_bound += oc.solves_bound;
-    result.surf_observe.saturation_events += oc.saturation_events;
-    result.surf_observe.observe_drains += oc.observe_drains;
-  };
-  if (const auto* net = dynamic_cast<const surf::FlowNetworkModel*>(&world.network())) {
-    result.solver_solves += net->solver().solve_count();
-    result.solver_vars_touched += net->solver().vars_touched();
-    result.solver_cons_touched += net->solver().cons_touched();
-    add_observe(net->solver().observe_counters());
-  }
-  if (const auto* cpu = dynamic_cast<const surf::CpuModel*>(&world.cpu())) {
-    result.solver_solves += cpu->solver().solve_count();
-    result.solver_vars_touched += cpu->solver().vars_touched();
-    result.solver_cons_touched += cpu->solver().cons_touched();
-    add_observe(cpu->solver().observe_counters());
-  }
-  result.p2p = world.p2p_counters();
+  result.rank_usage = std::move(usage);
+  result.spans = std::move(spans);
   if (options.resources != nullptr) {
     result.resources_analyzed = true;
     const obs::ResourceCollector::Summary summary = options.resources->summary();
@@ -409,9 +345,7 @@ ReplayResult replay_trace(const platform::Platform& platform, core::SmpiConfig c
     result.bottleneck_saturated_s = summary.bottleneck_saturated_s;
     result.max_link_utilization = summary.max_link_utilization;
   }
-  if (spans != nullptr) {
-    result.analyzed = true;
-    result.analysis = obs::analyze(*spans);
+  if (result.analyzed) {
     // Re-derive the per-rank usage split from the span layer: wait/transfer
     // come from the recorded blocked intervals, compute is everything else —
     // including compute that overlapped an in-flight nonblocking transfer,

@@ -18,17 +18,19 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
-#include "obs/analysis.hpp"
+#include "obs/run.hpp"
 #include "platform/platform.hpp"
 #include "smpi/smpi.hpp"
-#include "surf/maxmin.hpp"
 
 namespace smpi::obs {
+class Profiler;
 class ResourceCollector;
-}
+class SpanCollector;
+}  // namespace smpi::obs
 
 namespace smpi::trace {
 
@@ -36,9 +38,16 @@ class PajeWriter;
 struct TiTrace;
 
 struct ReplayOptions {
-  // Optional time-stamped timeline of the replay (owned by the caller;
-  // begin()/finish() are driven by replay_trace).
+  // Caller-owned observers, installed around the replay's world by
+  // obs::run_observed; null leaves each off. `paje` is the live per-MPI-call
+  // timeline (begin()/finish() are driven here). With `resources` set,
+  // ReplayResult's bottleneck summary fields are filled from it and it is
+  // finalized (intervals closed at the makespan) before replay_trace
+  // returns; null keeps the solver's changed-tracking off, and simulated
+  // times and solver counters are bit-identical either way.
   PajeWriter* paje = nullptr;
+  obs::ResourceCollector* resources = nullptr;
+  obs::Profiler* profiler = nullptr;
   // Pre-computed compute_arena_bytes(trace) result; 0 = compute here. A
   // campaign scans the trace once instead of once per scenario.
   long long arena_bytes_hint = 0;
@@ -48,18 +57,11 @@ struct ReplayOptions {
   // campaign axis for measuring what payload-free buys.
   bool payload_free = true;
   // Collect per-op spans during the replay and run the wait-state /
-  // critical-path analysis over them (ReplayResult::analysis). Off by
-  // default: with analyze off the replay takes the exact same simulated-time
-  // trajectory and the span hooks reduce to a global load + branch.
+  // critical-path analysis over them (ReplayResult::analysis, and the spans
+  // themselves in ReplayResult::spans). Off by default: with analyze off the
+  // replay takes the exact same simulated-time trajectory and the span
+  // hooks reduce to a global load + branch.
   bool analyze = false;
-  // Resource-utilization observability (caller-owned, like `paje`): when
-  // non-null the collector is installed around the replay world, the surf
-  // models register their links/hosts and push exact utilization snapshots
-  // at every settle, and ReplayResult's bottleneck summary fields are filled
-  // from it. The collector is finalized (intervals closed at the makespan)
-  // before replay_trace returns. Null keeps the solver's changed-tracking
-  // off — simulated times and solver counters are bit-identical.
-  obs::ResourceCollector* resources = nullptr;
 };
 
 // Simulated-time split of one rank's replay: time inside compute/sleep
@@ -69,7 +71,7 @@ struct RankUsage {
   double compute_s = 0;
   double comm_s = 0;
   long long records = 0;
-  // Filled only when ReplayOptions::analyze is on: comm_s split into time
+  // Filled only when the replay was analyzed: comm_s split into time
   // truly blocked on a peer (wait_s) vs. time the wire was busy
   // (transfer_s). In that mode compute_s/comm_s are re-derived from the
   // span layer, which fixes the attribution of overlapped nonblocking
@@ -80,31 +82,17 @@ struct RankUsage {
   double transfer_s = 0;
 };
 
-struct ReplayResult {
-  double simulated_time = 0;
+// The run's totals (simulated time, abort state, p2p/solver/surf counters,
+// analysis) plus what only a replay knows. In payload-free replay the eager
+// copy counters stay zero by construction — no payload moves at all.
+struct ReplayResult : obs::RunTotals {
   long long records = 0;
   int ranks = 0;
-  // Set when a rank aborted the replay (MPI_Abort, or a resource failure
-  // under the fault model's abort policy). `failure` carries the first
-  // fault diagnostic when the abort came from the failure model.
-  bool aborted = false;
-  int abort_code = 0;
-  std::string failure;
   std::uint64_t arena_bytes = 0;
   std::vector<RankUsage> rank_usage;  // indexed by world rank
-  // Cumulative solver work over the whole replay (network + cpu systems);
-  // zero under the packet backend.
-  std::uint64_t solver_solves = 0;
-  std::uint64_t solver_vars_touched = 0;
-  std::uint64_t solver_cons_touched = 0;
-  // Hot-path accounting: free-list pool effectiveness and zero-copy eager
-  // activity (see core::P2pCounters). In payload-free replay the eager
-  // copy counters stay zero by construction — no payload moves at all.
-  core::P2pCounters p2p;
-  // Wait-state / critical-path analysis of this replay; only meaningful
-  // when `analyzed` is set (ReplayOptions::analyze was on).
-  bool analyzed = false;
-  obs::AnalysisResult analysis;
+  // The spans the analysis ran over (ReplayOptions::analyze), for exports
+  // such as the classified Paje timeline and Perfetto; null otherwise.
+  std::shared_ptr<const obs::SpanCollector> spans;
   // Resource-utilization summary (ReplayOptions::resources): the dominant
   // bottleneck by saturated time (empty name: nothing ever saturated) and
   // the peak link utilization across the run. Only meaningful when
@@ -114,9 +102,6 @@ struct ReplayResult {
   std::string top_bottleneck;
   double bottleneck_saturated_s = 0;
   double max_link_utilization = 0;
-  // surf.* observation counters summed over the network and CPU solvers
-  // (always filled; feeds obs::collect_surf).
-  surf::MaxMinSystem::ObserveCounters surf_observe;
 };
 
 // Size of the shared scratch arena a replay of `trace` needs: the largest

@@ -26,7 +26,9 @@ JsonValue JsonValue::number(double d) {
   v.kind_ = Kind::kNumber;
   v.number_ = d;
   char buf[64];
-  if (d == static_cast<double>(static_cast<long long>(d)) && std::abs(d) < 1e15) {
+  // -0 takes the %.17g path ("-0"), so every finite double round-trips.
+  if (d == static_cast<double>(static_cast<long long>(d)) && std::abs(d) < 1e15 &&
+      !std::signbit(d)) {
     std::snprintf(buf, sizeof buf, "%lld", static_cast<long long>(d));
   } else {
     std::snprintf(buf, sizeof buf, "%.17g", d);

@@ -6,8 +6,11 @@
 
 #include <unistd.h>
 
+#include <cmath>
+#include <cstring>
 #include <filesystem>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "apps/ep.hpp"
@@ -15,9 +18,9 @@
 #include "campaign/runner.hpp"
 #include "campaign/spec.hpp"
 #include "noise/noise.hpp"
+#include "obs/run.hpp"
 #include "platform/builders.hpp"
 #include "smpi/smpi.hpp"
-#include "trace/capture.hpp"
 #include "trace/reader.hpp"
 #include "trace/writer.hpp"
 #include "util/check.hpp"
@@ -54,21 +57,13 @@ double capture_ep(int nprocs, const std::string& dir) {
   smpi::platform::FlatClusterParams params;
   params.nodes = nprocs;
   auto platform = smpi::platform::build_flat_cluster(params);
-  smpi::core::SmpiConfig config;
-  smpi::core::SmpiWorld world(platform, config);
   smpi::trace::TiWriter writer(dir, nprocs, "ep");
-  smpi::trace::install_capture(&writer, nullptr);
+  smpi::obs::RunCollectors collectors;
+  collectors.ti = &writer;
   smpi::apps::EpParams ep;
   ep.log2_pairs = 12;
-  try {
-    world.run(nprocs, smpi::apps::make_ep_app(ep));
-  } catch (...) {
-    smpi::trace::clear_capture();
-    throw;
-  }
-  smpi::trace::clear_capture();
-  writer.finish();
-  return world.simulated_time();
+  return smpi::obs::run_observed(platform, {}, nprocs, smpi::apps::make_ep_app(ep), collectors)
+      .simulated_time;
 }
 
 cp::CampaignSpec parse_spec(const std::string& text) {
@@ -714,4 +709,221 @@ TEST(CampaignResume, FullyCompleteResumeSkipsThePoolEntirely) {
     ASSERT_TRUE(resumed.results[i].ok);
     EXPECT_EQ(resumed.results[i].simulated_time, full.results[i].simulated_time);
   }
+}
+
+// ---------------------------------------------------------------------------
+// Result codec: the worker capsule is the report's result object
+// ---------------------------------------------------------------------------
+
+namespace {
+
+std::uint64_t bits(double value) {
+  std::uint64_t out = 0;
+  std::memcpy(&out, &value, sizeof out);
+  return out;
+}
+
+void expect_bitwise_equal(const std::vector<double>& a, const std::vector<double>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) EXPECT_EQ(bits(a[i]), bits(b[i])) << "element " << i;
+}
+
+void expect_same_result(const cp::ScenarioResult& a, const cp::ScenarioResult& b) {
+  EXPECT_EQ(a.id, b.id);
+  EXPECT_EQ(a.rep, b.rep);
+  EXPECT_EQ(a.ok, b.ok);
+  EXPECT_EQ(a.error, b.error);
+  EXPECT_EQ(a.retries, b.retries);
+  EXPECT_EQ(a.timed_out, b.timed_out);
+  EXPECT_EQ(a.worker_exit, b.worker_exit);
+  EXPECT_EQ(bits(a.simulated_time), bits(b.simulated_time));
+  EXPECT_EQ(bits(a.wall_s), bits(b.wall_s));
+  EXPECT_EQ(a.records, b.records);
+  EXPECT_EQ(a.ranks, b.ranks);
+  EXPECT_EQ(a.arena_bytes, b.arena_bytes);
+  expect_bitwise_equal(a.rank_compute_s, b.rank_compute_s);
+  expect_bitwise_equal(a.rank_comm_s, b.rank_comm_s);
+  EXPECT_EQ(a.solver_solves, b.solver_solves);
+  EXPECT_EQ(a.solver_vars_touched, b.solver_vars_touched);
+  EXPECT_EQ(a.solver_cons_touched, b.solver_cons_touched);
+  EXPECT_EQ(a.p2p.pool_hits, b.p2p.pool_hits);
+  EXPECT_EQ(a.p2p.pool_misses, b.p2p.pool_misses);
+  EXPECT_EQ(a.p2p.eager_snapshots, b.p2p.eager_snapshots);
+  EXPECT_EQ(a.p2p.eager_copy_elided, b.p2p.eager_copy_elided);
+  EXPECT_EQ(a.p2p.eager_flush_snapshots, b.p2p.eager_flush_snapshots);
+  EXPECT_EQ(a.p2p.bytes_not_copied, b.p2p.bytes_not_copied);
+  EXPECT_EQ(a.analyzed, b.analyzed);
+  EXPECT_EQ(bits(a.wait_fraction), bits(b.wait_fraction));
+  EXPECT_EQ(bits(a.critical_path_s), bits(b.critical_path_s));
+  EXPECT_EQ(bits(a.cp_compute_s), bits(b.cp_compute_s));
+  EXPECT_EQ(bits(a.cp_comm_s), bits(b.cp_comm_s));
+  EXPECT_EQ(a.dominant_wait, b.dominant_wait);
+  expect_bitwise_equal(a.rank_wait_s, b.rank_wait_s);
+  expect_bitwise_equal(a.rank_transfer_s, b.rank_transfer_s);
+  EXPECT_EQ(a.resources_analyzed, b.resources_analyzed);
+  EXPECT_EQ(a.top_bottleneck, b.top_bottleneck);
+  EXPECT_EQ(bits(a.bottleneck_saturated_s), bits(b.bottleneck_saturated_s));
+  EXPECT_EQ(bits(a.max_link_utilization), bits(b.max_link_utilization));
+}
+
+// A successful run with every field set to a value a lossy codec would
+// bend: doubles that need all 17 digits, a subnormal, -0, 2^53 - 1
+// counters, and strings with quotes, escapes and non-ASCII bytes.
+cp::ScenarioResult ok_result(int id, int rep, bool observed) {
+  cp::ScenarioResult r;
+  r.id = id;
+  r.rep = rep;
+  r.ok = true;
+  r.retries = 1;
+  r.simulated_time = 0.1 + 0.2 + id + 0.01 * rep;
+  r.wall_s = 1.0 / 3.0;
+  r.records = 123456789;
+  r.ranks = 3;
+  r.arena_bytes = (std::uint64_t{1} << 53) - 1;
+  r.rank_compute_s = {std::nextafter(1.0, 2.0), 4.9406564584124654e-324, -0.0};
+  r.rank_comm_s = {1e-300, 2.5, 6.02214076e23};
+  r.solver_solves = (std::uint64_t{1} << 53) - 1;
+  r.solver_vars_touched = 2;
+  r.solver_cons_touched = 3;
+  r.p2p.pool_hits = 11;
+  r.p2p.pool_misses = 12;
+  r.p2p.eager_snapshots = 13;
+  r.p2p.eager_copy_elided = 14;
+  r.p2p.eager_flush_snapshots = 15;
+  r.p2p.bytes_not_copied = 16;
+  if (observed) {
+    r.analyzed = true;
+    r.wait_fraction = 0.12345678901234568;
+    r.critical_path_s = r.simulated_time;
+    r.cp_compute_s = 0.1;
+    r.cp_comm_s = r.simulated_time - 0.1;
+    r.dominant_wait = "late_sender";
+    r.rank_wait_s = {0.7, 1e-9, 0.0};
+    r.rank_transfer_s = {std::nextafter(0.5, 0.0), 3.0, 1e10};
+    r.resources_analyzed = true;
+    r.top_bottleneck = "link \"up\\node-3\"\n\xc3\xbc";
+    r.bottleneck_saturated_s = 7e-7;
+    r.max_link_utilization = 1.0 - 1e-16;
+  }
+  return r;
+}
+
+// A run the watchdog killed: the harness fields are the whole row.
+cp::ScenarioResult failed_result(int id, int rep) {
+  cp::ScenarioResult r;
+  r.id = id;
+  r.rep = rep;
+  r.ok = false;
+  r.retries = 1;
+  r.error = "scenario exceeded the 2 s wall-clock watchdog";
+  r.timed_out = true;
+  r.worker_exit = "killed by watchdog (killed by signal 9)";
+  return r;
+}
+
+// The worker -> parent path: the worker writes its unit's id and rep and
+// the result object, the parent reads them back.
+JsonValue capsule_of(const cp::ScenarioResult& r) {
+  JsonValue capsule = JsonValue::object();
+  capsule.set("id", JsonValue::number(r.id));
+  capsule.set("rep", JsonValue::number(r.rep));
+  cp::set_result_fields(capsule, r, nullptr);
+  return parse_json(capsule.dump(), "capsule");
+}
+
+cp::ScenarioResult through_capsule(const cp::ScenarioResult& r) {
+  const JsonValue capsule = capsule_of(r);
+  cp::ScenarioResult back;
+  back.id = static_cast<int>(capsule.at("id", "capsule").as_int());
+  back.rep = static_cast<int>(capsule.at("rep", "capsule").as_int());
+  cp::read_result_fields(capsule, back, cp::ResultSource::kCapsule);
+  return back;
+}
+
+// `object` with `key` dropped from its member named `block` (or from the
+// object itself when `block` is empty).
+JsonValue without(const JsonValue& object, const std::string& block, const std::string& key) {
+  JsonValue out = JsonValue::object();
+  for (const auto& [name, value] : object.members()) {
+    if (block.empty() && name == key) continue;
+    if (name != block) {
+      out.set(name, value);
+      continue;
+    }
+    JsonValue inner = JsonValue::object();
+    for (const auto& [inner_name, inner_value] : value.members()) {
+      if (inner_name != key) inner.set(inner_name, inner_value);
+    }
+    out.set(name, std::move(inner));
+  }
+  return out;
+}
+
+// Every result through report_json -> results_from_report.
+void expect_report_round_trip(const cp::CampaignSpec& spec, const cp::CampaignOutcome& outcome) {
+  const auto scenarios = cp::enumerate_scenarios(spec);
+  const JsonValue report =
+      parse_json(cp::report_json(spec, scenarios, outcome).dump(2), "report");
+  const auto back = cp::results_from_report(report, spec, scenarios);
+  ASSERT_EQ(back.size(), outcome.results.size());
+  for (std::size_t i = 0; i < back.size(); ++i) {
+    SCOPED_TRACE("unit " + std::to_string(i));
+    expect_same_result(outcome.results[i], back[i]);
+  }
+}
+
+}  // namespace
+
+TEST(CampaignCodec, CapsuleRoundTripsEveryField) {
+  for (const cp::ScenarioResult& r :
+       {ok_result(0, 0, true), ok_result(1, 2, false), failed_result(2, 1)}) {
+    SCOPED_TRACE("scenario " + std::to_string(r.id));
+    expect_same_result(r, through_capsule(r));
+  }
+}
+
+// A capsule is written by the same build that reads it, so the fields a
+// resumed report may lack (it can predate them) are required in a capsule.
+TEST(CampaignCodec, CapsuleReaderIsStrictWhereResumeIsLenient) {
+  const JsonValue ok = capsule_of(ok_result(0, 0, true));
+  const JsonValue failed = capsule_of(failed_result(1, 0));
+  for (const auto& [capsule, block, key] :
+       {std::tuple{ok, std::string(), std::string("p2p")},
+        std::tuple{ok, std::string("p2p"), std::string("bytes_not_copied")},
+        std::tuple{ok, std::string(), std::string("retries")},
+        std::tuple{failed, std::string(), std::string("error")}}) {
+    SCOPED_TRACE(block + "/" + key);
+    const JsonValue damaged = without(capsule, block, key);
+    cp::ScenarioResult strict;
+    EXPECT_THROW(cp::read_result_fields(damaged, strict, cp::ResultSource::kCapsule),
+                 ContractError);
+    cp::ScenarioResult lenient;
+    EXPECT_NO_THROW(
+        cp::read_result_fields(damaged, lenient, cp::ResultSource::kResumedReport));
+  }
+}
+
+TEST(CampaignCodec, ReportRoundTripsEveryField) {
+  cp::CampaignOutcome single;
+  single.workers = 1;
+  single.results = {ok_result(0, 0, true), ok_result(1, 0, false), failed_result(2, 0)};
+  expect_report_round_trip(parse_spec(R"({
+    "name": "codec",
+    "platform": {"kind": "flat"},
+    "axes": [{"param": "link_bandwidth_scale", "values": [0.5, 2]}]
+  })"), single);
+
+  cp::CampaignOutcome replicated;
+  replicated.workers = 1;
+  replicated.replications = 2;
+  replicated.results = {ok_result(0, 0, true),  ok_result(0, 1, true),
+                        ok_result(1, 0, false), failed_result(1, 1),
+                        failed_result(2, 0),    ok_result(2, 1, true)};
+  expect_report_round_trip(parse_spec(R"({
+    "name": "codec-replicated",
+    "platform": {"kind": "flat"},
+    "noise": {"seed": 3, "host_speed": {"dist": "normal", "mean": 1.0, "sigma": 0.05}},
+    "replications": 2,
+    "axes": [{"param": "link_bandwidth_scale", "values": [0.5, 2]}]
+  })"), replicated);
 }

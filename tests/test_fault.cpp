@@ -141,6 +141,36 @@ TEST(Fault, AbortMidCollectiveLeavesInFlightTransfersUndispatched) {
       << world.failure_diagnostic();
 }
 
+// Regression (leak under ASan's leak checker): with protocol emulation the
+// envelope holds its RTS flow and, once matched, the flow's completion hook
+// holds the envelope. An abort while the RTS is still on the wire freezes
+// the engine before that hook fires; tearing the world down must release
+// the pair anyway.
+TEST(Fault, AbortWithRendezvousHandshakeInFlightReleasesTheEnvelope) {
+  auto platform = test_cluster(2);
+  sc::SmpiConfig config = fast_config();
+  config.personality = sc::Personality::openmpi();
+  sc::SmpiWorld world(platform, config);
+  world.run(2, [](int, char**) {
+    MPI_Init(nullptr, nullptr);
+    std::vector<char> buf(1 << 20);  // above the eager threshold
+    MPI_Request request = MPI_REQUEST_NULL;
+    if (my_rank() == 0) {
+      MPI_Isend(buf.data(), static_cast<int>(buf.size()), MPI_BYTE, 1, 0, MPI_COMM_WORLD,
+                &request);
+      smpi_execute_flops(1e3);  // 1 us: the RTS needs 2 x 100 us of latency
+      MPI_Abort(MPI_COMM_WORLD, 7);
+    } else {
+      MPI_Irecv(buf.data(), static_cast<int>(buf.size()), MPI_BYTE, 0, 0, MPI_COMM_WORLD,
+                &request);
+      MPI_Wait(&request, MPI_STATUS_IGNORE);
+    }
+    MPI_Finalize();
+  });
+  EXPECT_TRUE(world.aborted());
+  EXPECT_EQ(world.abort_code(), 7);
+}
+
 TEST(Fault, HostCrashDetectPolicyReportsDeadlock) {
   auto platform = test_cluster(2);
   sc::SmpiConfig config = fast_config();

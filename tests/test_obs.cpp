@@ -3,21 +3,30 @@
 // makespan, ring chains vs. star fan-outs), the per-span accounting
 // invariant compute + transfer + wait == elapsed, the zero-overhead canary
 // (bit-identical simulated times and counters with analysis off), the
-// RankUsage attribution fix for overlapped nonblocking operations, and the
-// simulator self-profiler.
+// RankUsage attribution fix for overlapped nonblocking operations, the
+// simulator self-profiler, and obs::run_observed's slot hygiene on failure.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <algorithm>
+#include <cstring>
+#include <filesystem>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "obs/analysis.hpp"
 #include "obs/profile.hpp"
 #include "obs/resource.hpp"
+#include "obs/run.hpp"
 #include "obs/span.hpp"
 #include "smpi_test_util.hpp"
+#include "trace/capture.hpp"
+#include "trace/paje.hpp"
 #include "trace/reader.hpp"
 #include "trace/replay.hpp"
+#include "trace/writer.hpp"
 #include "workload/generate.hpp"
 #include "workload/spec.hpp"
 
@@ -623,4 +632,141 @@ TEST(ObsProfiler, HotPathsReportCalls) {
   for (int k = 0; k < static_cast<int>(obs::ProfKey::kCount); ++k) {
     EXPECT_GE(profiler.stats(static_cast<obs::ProfKey>(k)).seconds, 0.0);
   }
+}
+
+// ---------------------------------------------------------------------------
+// run_observed: a failed run clears every slot and leaves no state behind
+// ---------------------------------------------------------------------------
+
+namespace {
+
+std::uint64_t bits(double value) {
+  std::uint64_t out = 0;
+  std::memcpy(&out, &value, sizeof out);
+  return out;
+}
+
+bool any_slot_installed() {
+  return tr::capture_installed() || obs::spans_enabled() || obs::resources_enabled() ||
+         obs::profiling_enabled();
+}
+
+void expect_same_totals(const obs::RunTotals& a, const obs::RunTotals& b) {
+  EXPECT_EQ(bits(a.simulated_time), bits(b.simulated_time));
+  EXPECT_EQ(a.aborted, b.aborted);
+  EXPECT_EQ(a.p2p.pool_hits, b.p2p.pool_hits);
+  EXPECT_EQ(a.p2p.pool_misses, b.p2p.pool_misses);
+  EXPECT_EQ(a.p2p.eager_snapshots, b.p2p.eager_snapshots);
+  EXPECT_EQ(a.p2p.eager_copy_elided, b.p2p.eager_copy_elided);
+  EXPECT_EQ(a.p2p.eager_flush_snapshots, b.p2p.eager_flush_snapshots);
+  EXPECT_EQ(a.p2p.bytes_not_copied, b.p2p.bytes_not_copied);
+  EXPECT_EQ(a.solver_solves, b.solver_solves);
+  EXPECT_EQ(a.solver_vars_touched, b.solver_vars_touched);
+  EXPECT_EQ(a.solver_cons_touched, b.solver_cons_touched);
+  EXPECT_EQ(a.surf_observe.solves_attach, b.surf_observe.solves_attach);
+  EXPECT_EQ(a.surf_observe.solves_release, b.surf_observe.solves_release);
+  EXPECT_EQ(a.surf_observe.solves_capacity, b.surf_observe.solves_capacity);
+  EXPECT_EQ(a.surf_observe.solves_bound, b.surf_observe.solves_bound);
+  EXPECT_EQ(a.surf_observe.saturation_events, b.surf_observe.saturation_events);
+  EXPECT_EQ(a.surf_observe.observe_drains, b.surf_observe.observe_drains);
+}
+
+void alltoall_app(int, char**) {
+  MPI_Init(nullptr, nullptr);
+  std::vector<char> send(static_cast<std::size_t>(world_size()) * 65536);
+  std::vector<char> recv(send.size());
+  for (int iter = 0; iter < 4; ++iter) {
+    MPI_Alltoall(send.data(), 65536, MPI_BYTE, recv.data(), 65536, MPI_BYTE, MPI_COMM_WORLD);
+  }
+  MPI_Finalize();
+}
+
+// Rank 1 receives a message rank 0 never sends.
+void missing_send_app(int, char**) {
+  MPI_Init(nullptr, nullptr);
+  char byte = 0;
+  if (my_rank() == 1) MPI_Recv(&byte, 1, MPI_BYTE, 0, 0, MPI_COMM_WORLD, MPI_STATUS_IGNORE);
+  MPI_Finalize();
+}
+
+// The same shape as a trace: rank 1 waits for a send that is not there.
+tr::TiTrace missing_send_trace() {
+  tr::TiTrace trace;
+  trace.nranks = 2;
+  trace.app = "missing-send";
+  trace.ranks.resize(2);
+  tr::TiRecord init;
+  init.op = tr::TiOp::kInit;
+  tr::TiRecord finalize;
+  finalize.op = tr::TiOp::kFinalize;
+  tr::TiRecord recv;
+  recv.op = tr::TiOp::kRecv;
+  recv.peer = 0;
+  recv.count = 1;
+  trace.ranks[0] = {init, finalize};
+  trace.ranks[1] = {init, recv, finalize};
+  return trace;
+}
+
+}  // namespace
+
+TEST(RunObserved, FailedRunsClearEverySlotAndLeaveNoState) {
+  const auto platform = test_cluster(8);
+  const tr::TiTrace stencil = stencil_trace(8);
+  // References: the first observed runs of this test, with nothing attached.
+  const obs::RunTotals online_reference =
+      obs::run_observed(platform, fast_config(), 8, alltoall_app, {});
+  const tr::ReplayResult replay_reference = tr::replay_trace(platform, fast_config(), stencil);
+  ASSERT_FALSE(online_reference.aborted);
+  ASSERT_FALSE(replay_reference.aborted);
+
+  smpi::core::SmpiConfig limited = fast_config();
+  limited.engine.max_sim_time = 1e-4;
+  const std::filesystem::path dir = std::filesystem::temp_directory_path() /
+                                    ("smpi_run_observed_" + std::to_string(::getpid()));
+  std::filesystem::create_directories(dir);
+
+  // One failing run per (path, error) pair, each with every collector the
+  // path takes attached (a replay writes no TI trace; `analyze` gives it a
+  // span collector of its own).
+  const auto fail_with_all = [&](int nprocs, const auto& run) {
+    tr::TiWriter ti((dir / "ti").string(), nprocs, "failing");
+    tr::PajeWriter paje((dir / "run.paje").string());
+    obs::SpanCollector spans(nprocs);
+    obs::ResourceCollector resources;
+    obs::Profiler profiler;
+    run(obs::RunCollectors{&ti, &paje, &spans, &resources, &profiler});
+    EXPECT_FALSE(any_slot_installed());
+  };
+  fail_with_all(8, [&](const obs::RunCollectors& all) {
+    EXPECT_THROW(obs::run_observed(platform, limited, 8, alltoall_app, all),
+                 smpi::sim::TimeLimitError);
+  });
+  fail_with_all(2, [&](const obs::RunCollectors& all) {
+    EXPECT_THROW(obs::run_observed(platform, fast_config(), 2, missing_send_app, all),
+                 smpi::sim::DeadlockError);
+  });
+  fail_with_all(8, [&](const obs::RunCollectors& all) {
+    tr::ReplayOptions options;
+    options.paje = all.paje;
+    options.resources = all.resources;
+    options.profiler = all.profiler;
+    options.analyze = true;
+    EXPECT_THROW(tr::replay_trace(platform, limited, stencil, options), smpi::sim::TimeLimitError);
+  });
+  fail_with_all(2, [&](const obs::RunCollectors& all) {
+    tr::ReplayOptions options;
+    options.paje = all.paje;
+    options.resources = all.resources;
+    options.profiler = all.profiler;
+    options.analyze = true;
+    EXPECT_THROW(tr::replay_trace(platform, fast_config(), missing_send_trace(), options),
+                 smpi::sim::DeadlockError);
+  });
+  std::filesystem::remove_all(dir);
+
+  // The failures left nothing for the next run to inherit.
+  expect_same_totals(online_reference,
+                     obs::run_observed(platform, fast_config(), 8, alltoall_app, {}));
+  expect_same_totals(replay_reference, tr::replay_trace(platform, fast_config(), stencil));
 }

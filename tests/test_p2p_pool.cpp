@@ -17,9 +17,9 @@
 #include <string>
 #include <vector>
 
+#include "obs/run.hpp"
 #include "smpi/coll.h"
 #include "smpi_test_util.hpp"
-#include "trace/capture.hpp"
 #include "trace/replay.hpp"
 #include "trace/writer.hpp"
 
@@ -239,22 +239,18 @@ TEST(P2pPool, ReplayReproducesCaptureAcrossPoolingModes) {
 
   auto platform = test_cluster(8);
   const sc::SmpiConfig config = arm_config(true);
-  double captured = 0;
-  {
-    smpi::core::SmpiWorld world(platform, config);
-    tr::TiWriter writer(dir.string(), 8, "p2p_pool");
-    tr::install_capture(&writer, nullptr);
-    world.run(8, [](int, char**) {
-      MPI_Init(nullptr, nullptr);
-      std::vector<char> buffer(64 * 1024, 'r');
-      MPI_Bcast(buffer.data(), static_cast<int>(buffer.size()), MPI_CHAR, 0, MPI_COMM_WORLD);
-      MPI_Barrier(MPI_COMM_WORLD);
-      MPI_Finalize();
-    });
-    tr::clear_capture();
-    writer.finish();
-    captured = world.simulated_time();
-  }
+  tr::TiWriter writer(dir.string(), 8, "p2p_pool");
+  smpi::obs::RunCollectors collectors;
+  collectors.ti = &writer;
+  const auto bcast = [](int, char**) {
+    MPI_Init(nullptr, nullptr);
+    std::vector<char> buffer(64 * 1024, 'r');
+    MPI_Bcast(buffer.data(), static_cast<int>(buffer.size()), MPI_CHAR, 0, MPI_COMM_WORLD);
+    MPI_Barrier(MPI_COMM_WORLD);
+    MPI_Finalize();
+  };
+  const double captured =
+      smpi::obs::run_observed(platform, config, 8, bcast, collectors).simulated_time;
 
   const auto pooled = tr::replay_trace(platform, arm_config(true), dir.string());
   const auto reference = tr::replay_trace(platform, arm_config(false), dir.string());

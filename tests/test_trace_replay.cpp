@@ -12,6 +12,7 @@
 
 #include "apps/dt.hpp"
 #include "apps/ep.hpp"
+#include "obs/run.hpp"
 #include "smpi_test_util.hpp"
 #include "trace/capture.hpp"
 #include "trace/paje.hpp"
@@ -47,18 +48,11 @@ struct TempDir {
 // into `dir`; returns the online simulated time.
 double capture_run(const smpi::platform::Platform& platform, const smpi::core::SmpiConfig& config,
                    int nprocs, smpi::core::MpiMain app, const std::string& dir) {
-  smpi::core::SmpiWorld world(platform, config);
   tr::TiWriter writer(dir, nprocs, "test");
-  tr::install_capture(&writer, nullptr);
-  try {
-    world.run(nprocs, std::move(app));
-  } catch (...) {
-    tr::clear_capture();
-    throw;
-  }
-  tr::clear_capture();
-  writer.finish();
-  return world.simulated_time();
+  smpi::obs::RunCollectors collectors;
+  collectors.ti = &writer;
+  return smpi::obs::run_observed(platform, config, nprocs, std::move(app), collectors)
+      .simulated_time;
 }
 
 }  // namespace

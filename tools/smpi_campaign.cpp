@@ -20,8 +20,9 @@
 // "replications": N runs every scenario N times under independent noise
 // sub-seeds and reports per-scenario statistics (mean/stddev/quantiles/CI)
 // plus a rank-stability verdict; --resume adopts completed replications
-// individually. Exit code: 0 when every run succeeded, 1 on usage errors,
-// 2 when any run failed.
+// individually. Exit code: 0 when every run succeeded, 1 on usage errors and
+// on any other error (a bad spec, trace or resume report), 2 when any run
+// failed.
 #include <cstdio>
 #include <fstream>
 #include <string>
@@ -64,7 +65,10 @@ struct Options {
                "  --out FILE        write the JSON report to FILE\n"
                "  --csv FILE        write the CSV report to FILE\n"
                "  --list            print the scenario list and exit\n"
-               "  --progress        print one line per finished scenario\n");
+               "  --progress        print one line per finished scenario\n"
+               "\n"
+               "exit codes: 0 every run succeeded, 1 usage or other error,\n"
+               "            2 at least one run failed\n");
   std::exit(1);
 }
 
@@ -192,6 +196,6 @@ int main(int argc, char** argv) {
     return 0;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "smpi_campaign: error: %s\n", e.what());
-    return 2;
+    return 1;
   }
 }

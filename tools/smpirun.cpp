@@ -22,8 +22,9 @@
 // are reported with rank, path, and line). For sweeping many what-if
 // scenarios over one trace, see tools/smpi_campaign.
 //
-// Exit code: 0 on success, 1 on usage errors, 2 when the application aborts
-// (including resource-failure aborts), 3 on a simulated deadlock (the wait-for
+// Exit code: 0 on success, 1 on usage errors and on any other error (a bad
+// platform, trace or spec), 2 when the application aborts (including
+// resource-failure aborts), 3 on a simulated deadlock (the wait-for
 // diagnostic is printed to stderr), 4 when --max-sim-time or --wall-timeout
 // fires.
 #include <csignal>
@@ -37,8 +38,6 @@
 #include <sys/time.h>
 #include <unistd.h>
 
-#include <chrono>
-
 #include "apps/dt.hpp"
 #include "apps/ep.hpp"
 #include "obs/analysis.hpp"
@@ -46,17 +45,15 @@
 #include "obs/perfetto.hpp"
 #include "obs/profile.hpp"
 #include "obs/resource.hpp"
+#include "obs/run.hpp"
 #include "obs/span.hpp"
 #include "platform/builders.hpp"
 #include "platform/platform_xml.hpp"
 #include "smpi/coll.h"
 #include "smpi/mpi.h"
 #include "smpi/smpi.hpp"
-#include "trace/capture.hpp"
 #include "trace/paje.hpp"
 #include "trace/reader.hpp"
-#include "surf/cpu.hpp"
-#include "surf/network.hpp"
 #include "trace/replay.hpp"
 #include "trace/writer.hpp"
 #include "util/json.hpp"
@@ -131,7 +128,11 @@ struct Options {
                "  --profile-json FILE   self-profile JSON path (default BENCH_profile.json)\n"
                "  --paje-classic        with --analyze + --trace-paje: keep the classic\n"
                "                        per-MPI-call timeline instead of wait-state colors\n"
-               "  --verbose             print per-app details\n");
+               "  --verbose             print per-app details\n"
+               "\n"
+               "exit codes: 0 success, 1 usage or other error, 2 application/replay aborted\n"
+               "            (incl. resource failures), 3 simulated deadlock, 4 --max-sim-time\n"
+               "            or --wall-timeout exceeded\n");
   std::exit(1);
 }
 
@@ -345,9 +346,7 @@ void write_profile_json(const smpi::obs::Profiler& profiler, const std::string& 
 
 // The self-profile needs total wall clock for its percentages; finish() stamps
 // it, prints the table, and writes the JSON report.
-void finish_profile(smpi::obs::Profiler& profiler, double wall_s, const Options& options) {
-  smpi::obs::clear_profiler();
-  profiler.set_total_wall(wall_s);
+void finish_profile(const smpi::obs::Profiler& profiler, const Options& options) {
   std::printf("%s", smpi::obs::profile_text(profiler).c_str());
   write_profile_json(profiler, options.profile_json_path);
 }
@@ -359,6 +358,7 @@ int main(int argc, char** argv) {
   if (!options.replay_dir.empty() && !options.trace_ti_dir.empty()) {
     usage("--replay and --trace-ti are mutually exclusive");
   }
+  const bool replay = !options.replay_dir.empty();
   arm_wall_timeout(options.wall_timeout);
   try {
     auto platform = make_platform(options);
@@ -387,233 +387,116 @@ int main(int argc, char** argv) {
       usage("--noise-seed needs --noise");
     }
 
-    if (!options.replay_dir.empty()) {
-      const smpi::trace::TiTrace trace = smpi::trace::load_ti_trace(options.replay_dir);
-      // With --analyze the Paje timeline defaults to wait-state coloring
-      // (exported from the spans after the run); --paje-classic keeps the
-      // live per-MPI-call capture instead.
-      const bool classified_paje =
-          !options.trace_paje.empty() && options.analyze && !options.paje_classic;
-      std::unique_ptr<smpi::trace::PajeWriter> paje;
-      smpi::trace::ReplayOptions replay_options;
-      if (!options.trace_paje.empty() && !classified_paje) {
-        paje = std::make_unique<smpi::trace::PajeWriter>(options.trace_paje);
-        replay_options.paje = paje.get();
-      }
-      // The collector is installed here (not via replay_options.analyze) so
-      // the spans survive the replay for the Paje export below.
-      std::unique_ptr<smpi::obs::SpanCollector> spans;
-      if (options.analyze) {
-        spans = std::make_unique<smpi::obs::SpanCollector>(trace.nranks);
-        smpi::obs::install_spans(spans.get());
-      }
-      // Resource timelines: replay_trace installs/finalizes the collector
-      // around its world (it must be live before the surf models build).
-      std::unique_ptr<smpi::obs::ResourceCollector> res;
-      if (options.resources || !options.trace_perfetto.empty()) {
-        res = std::make_unique<smpi::obs::ResourceCollector>();
-        replay_options.resources = res.get();
-      }
-      smpi::obs::Profiler profiler;
-      if (options.profile) smpi::obs::install_profiler(&profiler);
-      const auto wall_start = std::chrono::steady_clock::now();
-      smpi::trace::ReplayResult result;
-      try {
-        result = smpi::trace::replay_trace(platform, config, trace, replay_options);
-      } catch (...) {
-        smpi::obs::clear_spans();
-        smpi::obs::clear_profiler();
-        throw;
-      }
-      const double wall_s =
-          std::chrono::duration<double>(std::chrono::steady_clock::now() - wall_start).count();
-      smpi::obs::clear_spans();
-      if (options.profile) finish_profile(profiler, wall_s, options);
-      if (result.aborted) {
-        std::fprintf(stderr, "smpirun: replay aborted with code %d\n", result.abort_code);
-        if (!result.failure.empty()) {
-          std::fprintf(stderr, "smpirun: resource failure: %s\n", result.failure.c_str());
+    smpi::trace::TiTrace trace;
+    smpi::core::MpiMain app;
+    int np = options.np;
+    if (replay) {
+      trace = smpi::trace::load_ti_trace(options.replay_dir);
+      np = trace.nranks;
+    } else {
+      app = make_app(options);
+      if (options.app == "dt") {
+        // DT fixes its own process count from the graph shape.
+        np = smpi::apps::dt_process_count(parse_dt_graph(options.dt_graph),
+                                          parse_dt_class(options.dt_class));
+        if (options.verbose && np != options.np) {
+          std::fprintf(stderr, "smpirun: DT %s class %s needs %d processes (overriding --np)\n",
+                       options.dt_graph.c_str(), options.dt_class.c_str(), np);
         }
-        return 2;
       }
+    }
+
+    // With --analyze the Paje timeline defaults to wait-state coloring
+    // (exported from the spans after the run); --paje-classic keeps the
+    // live per-MPI-call capture instead.
+    const bool classified_paje =
+        !options.trace_paje.empty() && options.analyze && !options.paje_classic;
+    std::unique_ptr<smpi::trace::TiWriter> ti_writer;
+    if (!options.trace_ti_dir.empty()) {
+      ti_writer = std::make_unique<smpi::trace::TiWriter>(options.trace_ti_dir, np, options.app);
+    }
+    std::unique_ptr<smpi::trace::PajeWriter> paje;
+    if (!options.trace_paje.empty() && !classified_paje) {
+      paje = std::make_unique<smpi::trace::PajeWriter>(options.trace_paje);
+    }
+    std::unique_ptr<smpi::obs::ResourceCollector> res;
+    if (options.resources || !options.trace_perfetto.empty()) {
+      res = std::make_unique<smpi::obs::ResourceCollector>();
+    }
+    smpi::obs::Profiler profiler;
+    smpi::obs::Profiler* const profiler_slot = options.profile ? &profiler : nullptr;
+
+    smpi::trace::ReplayResult result;
+    if (replay) {
+      smpi::trace::ReplayOptions replay_options;
+      replay_options.paje = paje.get();
+      replay_options.resources = res.get();
+      replay_options.profiler = profiler_slot;
+      replay_options.analyze = options.analyze;
+      result = smpi::trace::replay_trace(platform, config, trace, replay_options);
+    } else {
+      std::shared_ptr<smpi::obs::SpanCollector> spans;
+      if (options.analyze) spans = std::make_shared<smpi::obs::SpanCollector>(np);
+      static_cast<smpi::obs::RunTotals&>(result) = smpi::obs::run_observed(
+          platform, config, np, std::move(app),
+          {ti_writer.get(), paje.get(), spans.get(), res.get(), profiler_slot});
+      result.spans = std::move(spans);
+    }
+    if (options.profile) finish_profile(profiler, options);
+    if (options.verbose && ti_writer != nullptr) {
+      std::printf("captured %llu trace records into %s\n",
+                  static_cast<unsigned long long>(ti_writer->records_written()),
+                  options.trace_ti_dir.c_str());
+    }
+
+    if (result.aborted) {
+      std::fprintf(stderr, "smpirun: %s aborted with code %d\n",
+                   replay ? "replay" : "application", result.abort_code);
+      if (!result.failure.empty()) {
+        std::fprintf(stderr, "smpirun: resource failure: %s\n", result.failure.c_str());
+      }
+      return 2;
+    }
+    smpi::obs::MetricsRegistry counters;
+    smpi::obs::collect_run(counters, result);
+    if (replay) {
       std::printf("smpirun: replayed %lld records over %d ranks on %d hosts (%s backend)\n",
                   result.records, result.ranks, platform.host_count(), options.backend.c_str());
       if (options.verbose) {
         std::printf("replay scratch arena: %s\n",
                     smpi::util::format_bytes(result.arena_bytes).c_str());
-        smpi::obs::MetricsRegistry registry;
-        smpi::obs::collect_p2p(registry, result.p2p);
-        smpi::obs::collect_solver(registry, result.solver_solves, result.solver_vars_touched,
-                                  result.solver_cons_touched);
-        smpi::obs::collect_surf(registry, result.surf_observe.solves_attach,
-                                result.surf_observe.solves_release,
-                                result.surf_observe.solves_capacity,
-                                result.surf_observe.solves_bound,
-                                result.surf_observe.saturation_events,
-                                result.surf_observe.observe_drains);
-        std::printf("counters:\n%s", registry.text().c_str());
+        std::printf("counters:\n%s", counters.text().c_str());
       }
-      std::printf("simulated execution time: %.9f s\n", result.simulated_time);
-      if (spans != nullptr) {
-        const smpi::obs::AnalysisResult analysis = smpi::obs::analyze(*spans);
-        std::printf("%s", smpi::obs::analysis_text(analysis).c_str());
-        if (classified_paje) {
-          smpi::obs::export_classified_paje(*spans, options.trace_paje, result.simulated_time);
-        }
-      }
-      if (options.resources && res != nullptr) {
-        std::printf("%s", res->report().c_str());
-      }
-      if (!options.trace_perfetto.empty()) {
-        if (!smpi::obs::write_perfetto_trace(options.trace_perfetto, res.get(), spans.get(),
-                                             options.profile ? &profiler : nullptr,
-                                             result.simulated_time)) {
-          std::fprintf(stderr, "smpirun: cannot write Perfetto trace to %s\n",
-                       options.trace_perfetto.c_str());
-        } else if (options.verbose) {
-          std::printf("perfetto trace written to %s\n", options.trace_perfetto.c_str());
-        }
-      }
-      return 0;
+    } else {
+      std::printf("smpirun: %d processes on %d hosts (%s backend)\n", np, platform.host_count(),
+                  options.backend.c_str());
     }
-
-    int np = options.np;
-    if (options.app == "dt") {
-      // DT fixes its own process count from the graph shape.
-      np = smpi::apps::dt_process_count(parse_dt_graph(options.dt_graph),
-                                        parse_dt_class(options.dt_class));
-      if (options.verbose && np != options.np) {
-        std::fprintf(stderr, "smpirun: DT %s class %s needs %d processes (overriding --np)\n",
-                     options.dt_graph.c_str(), options.dt_class.c_str(), np);
-      }
-    }
-
-    std::unique_ptr<smpi::trace::TiWriter> ti_writer;
-    std::unique_ptr<smpi::trace::PajeWriter> paje;
-    const bool classified_paje =
-        !options.trace_paje.empty() && options.analyze && !options.paje_classic;
-    if (!options.trace_ti_dir.empty()) {
-      ti_writer = std::make_unique<smpi::trace::TiWriter>(options.trace_ti_dir, np, options.app);
-    }
-    if (!options.trace_paje.empty() && !classified_paje) {
-      paje = std::make_unique<smpi::trace::PajeWriter>(options.trace_paje);
-      paje->begin(np);
-    }
-    if (ti_writer != nullptr || paje != nullptr) {
-      smpi::trace::install_capture(ti_writer.get(), paje.get());
-    }
-    std::unique_ptr<smpi::obs::SpanCollector> spans;
-    if (options.analyze) {
-      spans = std::make_unique<smpi::obs::SpanCollector>(np);
-      smpi::obs::install_spans(spans.get());
-    }
-    smpi::obs::Profiler profiler;
-    if (options.profile) smpi::obs::install_profiler(&profiler);
-    // Resource timelines: the collector must be live before the world is
-    // built — the surf models register their links/hosts in their ctors.
-    std::unique_ptr<smpi::obs::ResourceCollector> res;
-    if (options.resources || !options.trace_perfetto.empty()) {
-      res = std::make_unique<smpi::obs::ResourceCollector>();
-      smpi::obs::install_resources(res.get());
-    }
-
-    const auto wall_start = std::chrono::steady_clock::now();
-    smpi::core::SmpiWorld world(platform, config);
-    try {
-      world.run(np, make_app(options));
-    } catch (...) {
-      smpi::trace::clear_capture();  // the writers unwind with this frame
-      smpi::obs::clear_spans();
-      smpi::obs::clear_profiler();
-      smpi::obs::clear_resources();
-      throw;
-    }
-    const double wall_s =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - wall_start).count();
-    smpi::obs::clear_spans();
-    if (res != nullptr) {
-      // Final drain (the last completions may not have settled), then close
-      // the observed window at the makespan.
-      if (auto* net = dynamic_cast<smpi::surf::FlowNetworkModel*>(&world.network())) {
-        net->flush_observations(world.simulated_time());
-      }
-      if (auto* cpu = dynamic_cast<smpi::surf::CpuModel*>(&world.cpu())) {
-        cpu->flush_observations(world.simulated_time());
-      }
-      smpi::obs::clear_resources();
-      res->finalize(world.simulated_time());
-    }
-    if (options.profile) finish_profile(profiler, wall_s, options);
-
-    if (ti_writer != nullptr || paje != nullptr) {
-      smpi::trace::clear_capture();
-      if (ti_writer != nullptr) ti_writer->finish();
-      if (paje != nullptr) paje->finish(world.simulated_time());
-      if (options.verbose && ti_writer != nullptr) {
-        std::printf("captured %llu trace records into %s\n",
-                    static_cast<unsigned long long>(ti_writer->records_written()),
-                    options.trace_ti_dir.c_str());
-      }
-    }
-
-    if (world.aborted()) {
-      std::fprintf(stderr, "smpirun: application aborted with code %d\n", world.abort_code());
-      if (!world.failure_diagnostic().empty()) {
-        std::fprintf(stderr, "smpirun: resource failure: %s\n",
-                     world.failure_diagnostic().c_str());
-      }
-      return 2;
-    }
-    std::printf("smpirun: %d processes on %d hosts (%s backend)\n", np, platform.host_count(),
-                options.backend.c_str());
-    std::printf("simulated execution time: %.9f s\n", world.simulated_time());
-    if (spans != nullptr) {
-      const smpi::obs::AnalysisResult analysis = smpi::obs::analyze(*spans);
-      std::printf("%s", smpi::obs::analysis_text(analysis).c_str());
+    std::printf("simulated execution time: %.9f s\n", result.simulated_time);
+    if (result.analyzed) {
+      std::printf("%s", smpi::obs::analysis_text(result.analysis).c_str());
       if (classified_paje) {
-        smpi::obs::export_classified_paje(*spans, options.trace_paje, world.simulated_time());
+        smpi::obs::export_classified_paje(*result.spans, options.trace_paje,
+                                          result.simulated_time);
       }
     }
-    if (options.resources && res != nullptr) {
-      std::printf("%s", res->report().c_str());
-    }
+    if (options.resources) std::printf("%s", res->report().c_str());
     if (!options.trace_perfetto.empty()) {
-      if (!smpi::obs::write_perfetto_trace(options.trace_perfetto, res.get(), spans.get(),
-                                           options.profile ? &profiler : nullptr,
-                                           world.simulated_time())) {
+      if (!smpi::obs::write_perfetto_trace(options.trace_perfetto, res.get(), result.spans.get(),
+                                           profiler_slot, result.simulated_time)) {
         std::fprintf(stderr, "smpirun: cannot write Perfetto trace to %s\n",
                      options.trace_perfetto.c_str());
       } else if (options.verbose) {
         std::printf("perfetto trace written to %s\n", options.trace_perfetto.c_str());
       }
     }
-    if (options.verbose) {
-      const auto memory = world.memory_report();
+    if (options.verbose && !replay) {
       std::printf("tracked memory: folded peak %s, unfolded peak %s\n",
-                  smpi::util::format_bytes(memory.folded_peak_bytes).c_str(),
-                  smpi::util::format_bytes(memory.unfolded_peak_bytes).c_str());
-      smpi::obs::MetricsRegistry registry;
-      smpi::obs::collect_p2p(registry, world.p2p_counters());
-      std::printf("p2p counters:\n%s", registry.text("p2p.").c_str());
-      smpi::surf::MaxMinSystem::ObserveCounters surf_totals;
-      auto add_observe = [&surf_totals](const smpi::surf::MaxMinSystem::ObserveCounters& oc) {
-        surf_totals.solves_attach += oc.solves_attach;
-        surf_totals.solves_release += oc.solves_release;
-        surf_totals.solves_capacity += oc.solves_capacity;
-        surf_totals.solves_bound += oc.solves_bound;
-        surf_totals.saturation_events += oc.saturation_events;
-        surf_totals.observe_drains += oc.observe_drains;
-      };
-      if (const auto* net = dynamic_cast<const smpi::surf::FlowNetworkModel*>(&world.network())) {
-        add_observe(net->solver().observe_counters());
+                  smpi::util::format_bytes(result.memory.folded_peak_bytes).c_str(),
+                  smpi::util::format_bytes(result.memory.unfolded_peak_bytes).c_str());
+      for (const char* section : {"p2p", "solver", "surf"}) {
+        std::printf("%s counters:\n%s", section,
+                    counters.text(std::string(section) + ".").c_str());
       }
-      if (const auto* cpu = dynamic_cast<const smpi::surf::CpuModel*>(&world.cpu())) {
-        add_observe(cpu->solver().observe_counters());
-      }
-      smpi::obs::collect_surf(registry, surf_totals.solves_attach, surf_totals.solves_release,
-                              surf_totals.solves_capacity, surf_totals.solves_bound,
-                              surf_totals.saturation_events, surf_totals.observe_drains);
-      std::printf("surf counters:\n%s", registry.text("surf.").c_str());
       if (options.app == "dt") {
         std::printf("dt checksum: %.6e\n", smpi::apps::dt_last_checksum());
       }
@@ -631,6 +514,6 @@ int main(int argc, char** argv) {
     return 4;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "smpirun: error: %s\n", e.what());
-    return 2;
+    return 1;
   }
 }

@@ -3,7 +3,8 @@
 //   ti_inspect <trace-dir>             per-op record counts + volume summary
 //   ti_inspect <trace-dir> --dump [r]  print every record (of rank r)
 //   ti_inspect <trace-dir> --summary   replay on a flat cluster and print the
-//                                      result incl. p2p hot-path counters and
+//                                      result incl. the p2p/solver/surf counter
+//                                      block smpirun --verbose prints, and
 //                                      per-op message-size histograms
 //                                      (count/total/min/p50/p95/max bytes)
 //   ti_inspect <trace-dir> --check     static sanity check: unmatched p2p
@@ -17,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "obs/metrics.hpp"
 #include "platform/builders.hpp"
 #include "trace/check.hpp"
 #include "trace/reader.hpp"
@@ -123,18 +125,9 @@ int main(int argc, char** argv) {
       std::printf("trace: %s\napp: %s\nranks: %d\nrecords: %lld\n", dir.c_str(),
                   trace.app.c_str(), trace.nranks, result.records);
       std::printf("simulated_time: %.9f s\n", result.simulated_time);
-      std::printf("solver: solves=%llu vars_touched=%llu cons_touched=%llu\n",
-                  static_cast<unsigned long long>(result.solver_solves),
-                  static_cast<unsigned long long>(result.solver_vars_touched),
-                  static_cast<unsigned long long>(result.solver_cons_touched));
-      std::printf("p2p: pool_hits=%llu pool_misses=%llu eager_snapshots=%llu\n",
-                  static_cast<unsigned long long>(result.p2p.pool_hits),
-                  static_cast<unsigned long long>(result.p2p.pool_misses),
-                  static_cast<unsigned long long>(result.p2p.eager_snapshots));
-      std::printf("p2p: eager_copy_elided=%llu eager_flush_snapshots=%llu bytes_not_copied=%llu\n",
-                  static_cast<unsigned long long>(result.p2p.eager_copy_elided),
-                  static_cast<unsigned long long>(result.p2p.eager_flush_snapshots),
-                  static_cast<unsigned long long>(result.p2p.bytes_not_copied));
+      smpi::obs::MetricsRegistry counters;
+      smpi::obs::collect_run(counters, result);
+      std::printf("counters:\n%s", counters.text().c_str());
       // Per-op message-size histograms: how big this trace's messages are,
       // op by op (records that move no bytes — init, barrier, waits — are
       // skipped; they would only flatten every distribution's min to 0).
