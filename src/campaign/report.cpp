@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <type_traits>
+#include <utility>
+#include <variant>
 
 #include "util/check.hpp"
 #include "util/rng.hpp"
@@ -26,12 +29,6 @@ const ScenarioResult& baseline_of(const CampaignOutcome& outcome) {
 double speedup_vs_baseline(const ScenarioResult& baseline, const ScenarioResult& r) {
   if (!baseline.ok || !r.ok || r.simulated_time <= 0) return 0;
   return baseline.simulated_time / r.simulated_time;
-}
-
-std::string format_double(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.9g", v);
-  return buf;
 }
 
 // Per-scenario fold-down of a replicated sweep's simulated times.
@@ -139,6 +136,28 @@ const char* base_kind_name(CampaignSpec::BaseKind kind) {
   SMPI_UNREACHABLE("bad base kind");
 }
 
+// The base platform and the workload trace source as a report records
+// them; a resume compares a report's records with these whole.
+util::JsonValue platform_json(const CampaignSpec& spec) {
+  util::JsonValue platform = util::JsonValue::object();
+  platform.set("kind", util::JsonValue::string(base_kind_name(spec.base_kind)));
+  platform.set("nodes", util::JsonValue::number(spec.base_nodes));
+  if (!spec.platform_file.empty()) {
+    platform.set("file", util::JsonValue::string(spec.platform_file));
+  }
+  return platform;
+}
+
+util::JsonValue workload_json(const CampaignSpec& spec) {
+  util::JsonValue workload = util::JsonValue::object();
+  workload.set("name", util::JsonValue::string(spec.workload.name));
+  workload.set("ranks", util::JsonValue::number(spec.workload.ranks));
+  workload.set("seed", util::JsonValue::number(static_cast<double>(spec.workload.seed)));
+  workload.set("phases",
+               util::JsonValue::number(static_cast<double>(spec.workload.phases.size())));
+  return workload;
+}
+
 std::vector<ScenarioAgg> aggregate_all(const CampaignSpec& spec,
                                        const std::vector<Scenario>& scenarios,
                                        const CampaignOutcome& outcome) {
@@ -150,164 +169,199 @@ std::vector<ScenarioAgg> aggregate_all(const CampaignSpec& spec,
   return aggs;
 }
 
+// One CSV field per RFC 4180: quoted when `always` or when it holds a comma,
+// quote, CR or LF, with every embedded quote doubled.
+std::string csv_cell(const std::string& text, bool always) {
+  if (!always && text.find_first_of(",\"\r\n") == std::string::npos) return text;
+  std::string out = "\"";
+  for (char c : text) out += c == '"' ? std::string("\"\"") : std::string(1, c);
+  return out + '"';
+}
+
+// --- The result object, as one table of fields ------------------------------
+// The JSON writer and reader and the CSV all walk the table, so a new metric
+// is one row in it (plus its ScenarioResult member and the worker's fill).
+// A field's block is the JSON object it sits in and says when it is there.
+using R = ScenarioResult;
+struct Block {
+  const char* json;           // nested object key; nullptr = the result object itself
+  const char* column_prefix;  // CSV column = prefix + field key
+  enum When { kAlways, kOk, kFailed } when;
+  bool R::*flag;         // non-null: present only when set; reading the block sets it
+  bool resume_may_lack;  // a resumed report may predate it; a capsule may not
+};
+constexpr Block kRun{nullptr, "", Block::kAlways, nullptr, false};
+constexpr Block kHarness{nullptr, "", Block::kAlways, nullptr, true};
+constexpr Block kFailure{nullptr, "", Block::kFailed, nullptr, true};
+constexpr Block kTotals{nullptr, "", Block::kOk, nullptr, false};
+constexpr Block kBreakdown{"breakdown", "", Block::kOk, nullptr, false};
+constexpr Block kSolver{"solver", "solver_", Block::kOk, nullptr, false};
+constexpr Block kP2p{"p2p", "", Block::kOk, nullptr, true};
+constexpr Block kAnalysis{"analysis", "", Block::kOk, &R::analyzed, false};
+constexpr Block kResources{"resources", "", Block::kOk, &R::resources_analyzed, false};
+
+enum class Column { kNone, kLead, kBody, kLast };  // CSV: none, before/after the axes, last
+
+struct Speedup {};  // the baseline-relative speedup, the one value that needs the baseline
+
+using Access = std::variant<bool R::*, int R::*, long long R::*, std::uint64_t R::*, double R::*,
+                            std::string R::*, std::vector<double> R::*,
+                            std::uint64_t core::P2pCounters::*, double (R::*)() const, Speedup>;
+
+struct Field {
+  const Block* block;
+  const char* key;
+  Column column;
+  Access access;
+  bool quoted = false;    // CSV: always quoted, not only when RFC 4180 needs it
+  bool optional = false;  // JSON: written only when set, so read as optional
+};
+
+// In JSON order. An ok row has no failure field and a failed row no metric,
+// so the failure fields can sit last, where their columns go.
+const std::vector<Field> kResultFields = [] {
+  std::vector<Field> table = {
+      {&kRun, "ok", Column::kLead, &R::ok},
+      {&kHarness, "retries", Column::kLead, &R::retries},
+      {&kTotals, "simulated_time", Column::kBody, &R::simulated_time},
+      {&kTotals, "speedup_vs_baseline", Column::kBody, Speedup{}},
+      {&kTotals, "wall_s", Column::kBody, &R::wall_s},
+      {&kTotals, "records", Column::kBody, &R::records},
+      {&kTotals, "ranks", Column::kBody, &R::ranks},
+      {&kTotals, "arena_bytes", Column::kNone, &R::arena_bytes},
+      {&kBreakdown, "compute_total_s", Column::kBody, &R::compute_total_s},
+      {&kBreakdown, "comm_total_s", Column::kBody, &R::comm_total_s},
+      {&kBreakdown, "compute_max_s", Column::kBody, &R::compute_max_s},
+      {&kBreakdown, "comm_max_s", Column::kBody, &R::comm_max_s},
+      {&kBreakdown, "rank_compute_s", Column::kNone, &R::rank_compute_s},
+      {&kBreakdown, "rank_comm_s", Column::kNone, &R::rank_comm_s},
+      {&kSolver, "solves", Column::kBody, &R::solver_solves},
+      {&kSolver, "vars_touched", Column::kBody, &R::solver_vars_touched},
+      {&kSolver, "cons_touched", Column::kBody, &R::solver_cons_touched},
+  };
+  for (const auto& [name, member] : core::kP2pCounterFields) {
+    table.push_back({&kP2p, name, Column::kBody, member});
+  }
+  table.insert(table.end(), {
+      {&kAnalysis, "wait_fraction", Column::kBody, &R::wait_fraction},
+      {&kAnalysis, "critical_path_s", Column::kBody, &R::critical_path_s},
+      {&kAnalysis, "cp_compute_s", Column::kBody, &R::cp_compute_s},
+      {&kAnalysis, "cp_comm_s", Column::kBody, &R::cp_comm_s},
+      {&kAnalysis, "dominant_wait", Column::kBody, &R::dominant_wait},
+      {&kAnalysis, "rank_wait_s", Column::kNone, &R::rank_wait_s},
+      {&kAnalysis, "rank_transfer_s", Column::kNone, &R::rank_transfer_s},
+      {&kResources, "top_bottleneck", Column::kBody, &R::top_bottleneck, true},
+      {&kResources, "bottleneck_saturated_s", Column::kBody, &R::bottleneck_saturated_s},
+      {&kResources, "max_link_utilization", Column::kBody, &R::max_link_utilization},
+      {&kFailure, "error", Column::kLast, &R::error, true},
+      {&kHarness, "timed_out", Column::kLead, &R::timed_out, false, true},
+      {&kFailure, "worker_exit", Column::kBody, &R::worker_exit, true, true},
+  });
+  return table;
+}();
+
+bool present(const Block& block, const R& r) {
+  return (block.when == Block::kAlways || (block.when == Block::kOk) == r.ok) &&
+         (block.flag == nullptr || r.*block.flag);
+}
+
+// The value `access` names in `r`: a member, a p2p counter, or a derived
+// value, which is computed (the speedup from `baseline`) and never read.
+template <class Result, class T>
+auto& member(Result& r, const R*, T R::*m) { return r.*m; }
+template <class Result>
+auto& member(Result& r, const R*, std::uint64_t core::P2pCounters::*m) { return r.p2p.*m; }
+double member(const R& r, const R*, double (R::*m)() const) { return (r.*m)(); }
+double member(const R& r, const R* baseline, Speedup) {
+  return baseline == nullptr ? 0.0 : speedup_vs_baseline(*baseline, r);
+}
+
+// `fn` applied to the value of `f` in `r`.
+template <class Fn>
+auto value_of(const Field& f, const R& r, const R* baseline, Fn fn) {
+  return std::visit([&](auto access) { return fn(member(r, baseline, access)); }, f.access);
+}
+
+const auto is_unset = [](const auto& v) { return v == std::decay_t<decltype(v)>{}; };
+
+util::JsonValue to_json(bool v) { return util::JsonValue::boolean(v); }
+util::JsonValue to_json(const std::string& v) { return util::JsonValue::string(v); }
+util::JsonValue to_json(const std::vector<double>& v) {
+  util::JsonValue items = util::JsonValue::array();
+  for (double x : v) items.append(util::JsonValue::number(x));
+  return items;
+}
+template <class Number>
+util::JsonValue to_json(Number v) { return util::JsonValue::number(static_cast<double>(v)); }
+
+void from_json(const util::JsonValue& j, bool& out) { out = j.as_bool(); }
+void from_json(const util::JsonValue& j, std::string& out) { out = j.as_string(); }
+void from_json(const util::JsonValue& j, double& out) { out = j.as_number(); }
+void from_json(const util::JsonValue& j, std::vector<double>& out) {
+  for (const auto& item : j.items()) out.push_back(item.as_number());
+}
+template <class Integer>
+void from_json(const util::JsonValue& j, Integer& out) { out = static_cast<Integer>(j.as_int()); }
+
+std::string csv_cell(bool v, bool) { return v ? "1" : "0"; }
+std::string csv_cell(double v, bool) {
+  char buf[32];
+  std::snprintf(buf, sizeof buf, "%.9g", v);
+  return buf;
+}
+std::string csv_cell(const std::vector<double>&, bool) { return ""; }  // JSON-only
+template <class Integer>
+std::string csv_cell(Integer v, bool) { return std::to_string(v); }
+
 }  // namespace
 
 void set_result_fields(util::JsonValue& row, const ScenarioResult& r,
                        const ScenarioResult* baseline) {
-  row.set("ok", util::JsonValue::boolean(r.ok));
-  row.set("retries", util::JsonValue::number(r.retries));
-  if (!r.ok) {
-    row.set("error", util::JsonValue::string(r.error));
-    if (r.timed_out) row.set("timed_out", util::JsonValue::boolean(true));
-    if (!r.worker_exit.empty()) {
-      row.set("worker_exit", util::JsonValue::string(r.worker_exit));
+  util::JsonValue nested = util::JsonValue::object();
+  for (const Field& f : kResultFields) {
+    // A worker does not know the baseline, so its capsule has no speedup.
+    const bool skip = (std::holds_alternative<Speedup>(f.access) && baseline == nullptr) ||
+                      (f.optional && value_of(f, r, baseline, is_unset));
+    if (skip || !present(*f.block, r)) continue;
+    util::JsonValue value = value_of(f, r, baseline, [](const auto& v) { return to_json(v); });
+    if (f.block->json == nullptr) {
+      row.set(f.key, std::move(value));
+      continue;
     }
-    return;
-  }
-  row.set("simulated_time", util::JsonValue::number(r.simulated_time));
-  if (baseline != nullptr) {
-    row.set("speedup_vs_baseline", util::JsonValue::number(speedup_vs_baseline(*baseline, r)));
-  }
-  row.set("wall_s", util::JsonValue::number(r.wall_s));
-  row.set("records", util::JsonValue::number(static_cast<double>(r.records)));
-  row.set("ranks", util::JsonValue::number(r.ranks));
-  row.set("arena_bytes", util::JsonValue::number(static_cast<double>(r.arena_bytes)));
-  util::JsonValue breakdown = util::JsonValue::object();
-  breakdown.set("compute_total_s", util::JsonValue::number(r.compute_total_s()));
-  breakdown.set("comm_total_s", util::JsonValue::number(r.comm_total_s()));
-  breakdown.set("compute_max_s", util::JsonValue::number(r.compute_max_s()));
-  breakdown.set("comm_max_s", util::JsonValue::number(r.comm_max_s()));
-  util::JsonValue per_rank_compute = util::JsonValue::array();
-  util::JsonValue per_rank_comm = util::JsonValue::array();
-  for (double v : r.rank_compute_s) per_rank_compute.append(util::JsonValue::number(v));
-  for (double v : r.rank_comm_s) per_rank_comm.append(util::JsonValue::number(v));
-  breakdown.set("rank_compute_s", std::move(per_rank_compute));
-  breakdown.set("rank_comm_s", std::move(per_rank_comm));
-  row.set("breakdown", std::move(breakdown));
-  util::JsonValue solver = util::JsonValue::object();
-  solver.set("solves", util::JsonValue::number(static_cast<double>(r.solver_solves)));
-  solver.set("vars_touched",
-             util::JsonValue::number(static_cast<double>(r.solver_vars_touched)));
-  solver.set("cons_touched",
-             util::JsonValue::number(static_cast<double>(r.solver_cons_touched)));
-  row.set("solver", std::move(solver));
-  util::JsonValue p2p = util::JsonValue::object();
-  p2p.set("pool_hits", util::JsonValue::number(static_cast<double>(r.p2p.pool_hits)));
-  p2p.set("pool_misses", util::JsonValue::number(static_cast<double>(r.p2p.pool_misses)));
-  p2p.set("eager_snapshots",
-          util::JsonValue::number(static_cast<double>(r.p2p.eager_snapshots)));
-  p2p.set("eager_copy_elided",
-          util::JsonValue::number(static_cast<double>(r.p2p.eager_copy_elided)));
-  p2p.set("eager_flush_snapshots",
-          util::JsonValue::number(static_cast<double>(r.p2p.eager_flush_snapshots)));
-  p2p.set("bytes_not_copied",
-          util::JsonValue::number(static_cast<double>(r.p2p.bytes_not_copied)));
-  row.set("p2p", std::move(p2p));
-  if (r.analyzed) {
-    util::JsonValue analysis = util::JsonValue::object();
-    analysis.set("wait_fraction", util::JsonValue::number(r.wait_fraction));
-    analysis.set("critical_path_s", util::JsonValue::number(r.critical_path_s));
-    analysis.set("cp_compute_s", util::JsonValue::number(r.cp_compute_s));
-    analysis.set("cp_comm_s", util::JsonValue::number(r.cp_comm_s));
-    analysis.set("dominant_wait", util::JsonValue::string(r.dominant_wait));
-    util::JsonValue per_rank_wait = util::JsonValue::array();
-    util::JsonValue per_rank_transfer = util::JsonValue::array();
-    for (double v : r.rank_wait_s) per_rank_wait.append(util::JsonValue::number(v));
-    for (double v : r.rank_transfer_s) per_rank_transfer.append(util::JsonValue::number(v));
-    analysis.set("rank_wait_s", std::move(per_rank_wait));
-    analysis.set("rank_transfer_s", std::move(per_rank_transfer));
-    row.set("analysis", std::move(analysis));
-  }
-  if (r.resources_analyzed) {
-    util::JsonValue resources = util::JsonValue::object();
-    resources.set("top_bottleneck", util::JsonValue::string(r.top_bottleneck));
-    resources.set("bottleneck_saturated_s",
-                  util::JsonValue::number(r.bottleneck_saturated_s));
-    resources.set("max_link_utilization",
-                  util::JsonValue::number(r.max_link_utilization));
-    row.set("resources", std::move(resources));
+    // A nested block's fields are consecutive and never optional: set it at its last.
+    nested.set(f.key, std::move(value));
+    if (&f == &kResultFields.back() || (&f)[1].block != f.block) {
+      row.set(f.block->json, std::exchange(nested, util::JsonValue::object()));
+    }
   }
 }
 
 void read_result_fields(const util::JsonValue& row, ScenarioResult& r, ResultSource source) {
-  // A resumed report may predate the hardened harness (no retries, error,
-  // timed_out, worker_exit) or the p2p counters; those read as defaults. A
-  // capsule comes from this very build and must carry every one of them.
-  const bool lenient = source == ResultSource::kResumedReport;
-  const std::string what = lenient ? "resume report row" : "campaign capsule";
-  const std::string prefix = lenient ? "resume " : "campaign capsule ";
-  auto field = [&](const util::JsonValue& object, const char* key,
-                   const std::string& context) -> const util::JsonValue* {
-    return lenient ? object.find(key) : &object.at(key, context);
-  };
-  r.ok = row.at("ok", what).as_bool();
-  if (const auto* retries = field(row, "retries", what)) {
-    r.retries = static_cast<int>(retries->as_int());
-  }
-  if (!r.ok) {
-    if (const auto* error = field(row, "error", what)) r.error = error->as_string();
-    if (const auto* timed_out = row.find("timed_out")) r.timed_out = timed_out->as_bool();
-    if (const auto* worker_exit = row.find("worker_exit")) {
-      r.worker_exit = worker_exit->as_string();
-    }
-    return;
-  }
-  r.error.clear();
-  r.simulated_time = row.at("simulated_time", what).as_number();
-  r.wall_s = row.at("wall_s", what).as_number();
-  r.records = row.at("records", what).as_int();
-  r.ranks = static_cast<int>(row.at("ranks", what).as_int());
-  r.arena_bytes = static_cast<std::uint64_t>(row.at("arena_bytes", what).as_int());
-  const auto& breakdown = row.at("breakdown", what);
-  for (const auto& v : breakdown.at("rank_compute_s", prefix + "breakdown").items()) {
-    r.rank_compute_s.push_back(v.as_number());
-  }
-  for (const auto& v : breakdown.at("rank_comm_s", prefix + "breakdown").items()) {
-    r.rank_comm_s.push_back(v.as_number());
-  }
-  const auto& solver = row.at("solver", what);
-  r.solver_solves = static_cast<std::uint64_t>(solver.at("solves", prefix + "solver").as_int());
-  r.solver_vars_touched =
-      static_cast<std::uint64_t>(solver.at("vars_touched", prefix + "solver").as_int());
-  r.solver_cons_touched =
-      static_cast<std::uint64_t>(solver.at("cons_touched", prefix + "solver").as_int());
-  // Adopted rows of a report without p2p counters keep them at zero.
-  if (const auto* p2p = field(row, "p2p", what)) {
-    auto u64 = [&](const char* key) {
-      const auto* v = field(*p2p, key, prefix + "p2p");
-      return v == nullptr ? std::uint64_t{0} : static_cast<std::uint64_t>(v->as_int());
-    };
-    r.p2p.pool_hits = u64("pool_hits");
-    r.p2p.pool_misses = u64("pool_misses");
-    r.p2p.eager_snapshots = u64("eager_snapshots");
-    r.p2p.eager_copy_elided = u64("eager_copy_elided");
-    r.p2p.eager_flush_snapshots = u64("eager_flush_snapshots");
-    r.p2p.bytes_not_copied = u64("bytes_not_copied");
-  }
-  // The analysis and resource blocks are present exactly when the run
-  // collected them ("analysis"/"resources" in the spec; older reports lack
-  // them).
-  if (const auto* analysis = row.find("analysis")) {
-    r.analyzed = true;
-    r.wait_fraction = analysis->at("wait_fraction", prefix + "analysis").as_number();
-    r.critical_path_s = analysis->at("critical_path_s", prefix + "analysis").as_number();
-    r.cp_compute_s = analysis->at("cp_compute_s", prefix + "analysis").as_number();
-    r.cp_comm_s = analysis->at("cp_comm_s", prefix + "analysis").as_number();
-    r.dominant_wait = analysis->at("dominant_wait", prefix + "analysis").as_string();
-    for (const auto& v : analysis->at("rank_wait_s", prefix + "analysis").items()) {
-      r.rank_wait_s.push_back(v.as_number());
-    }
-    for (const auto& v : analysis->at("rank_transfer_s", prefix + "analysis").items()) {
-      r.rank_transfer_s.push_back(v.as_number());
-    }
-  }
-  if (const auto* resources = row.find("resources")) {
-    r.resources_analyzed = true;
-    r.top_bottleneck = resources->at("top_bottleneck", prefix + "resources").as_string();
-    r.bottleneck_saturated_s =
-        resources->at("bottleneck_saturated_s", prefix + "resources").as_number();
-    r.max_link_utilization =
-        resources->at("max_link_utilization", prefix + "resources").as_number();
+  const bool resume = source == ResultSource::kResumedReport;
+  const std::string what = resume ? "resume report row" : "campaign capsule";
+  for (const Field& f : kResultFields) {
+    const Block& block = *f.block;
+    const bool may_lack = resume && block.resume_may_lack;
+    // `ok` is read first, so a block of the other outcome is skipped; a
+    // flagged block is read when the run collected it, and sets the flag.
+    if (block.when != Block::kAlways && (block.when == Block::kOk) != r.ok) continue;
+    std::visit(
+        [&](auto access) {
+          if constexpr (std::is_member_object_pointer_v<decltype(access)>) {  // not derived
+            const util::JsonValue* object = &row;
+            if (block.json != nullptr) {
+              object = block.flag != nullptr || may_lack ? row.find(block.json)
+                                                         : &row.at(block.json, what);
+              if (object == nullptr) return;
+              if (block.flag != nullptr) r.*block.flag = true;
+            }
+            const std::string context = block.json == nullptr ? what : what + " " + block.json;
+            const util::JsonValue* value =
+                f.optional || may_lack ? object->find(f.key) : &object->at(f.key, context);
+            if (value != nullptr) from_json(*value, member(r, nullptr, access));
+          }
+        },
+        f.access);
   }
 }
 
@@ -321,24 +375,8 @@ util::JsonValue report_json(const CampaignSpec& spec, const std::vector<Scenario
   util::JsonValue doc = util::JsonValue::object();
   doc.set("campaign", util::JsonValue::string(spec.name));
   doc.set("trace", util::JsonValue::string(spec.trace_dir));
-  {
-    util::JsonValue platform = util::JsonValue::object();
-    platform.set("kind", util::JsonValue::string(base_kind_name(spec.base_kind)));
-    platform.set("nodes", util::JsonValue::number(spec.base_nodes));
-    if (!spec.platform_file.empty()) {
-      platform.set("file", util::JsonValue::string(spec.platform_file));
-    }
-    doc.set("platform", std::move(platform));
-  }
-  if (spec.has_workload) {
-    util::JsonValue workload = util::JsonValue::object();
-    workload.set("name", util::JsonValue::string(spec.workload.name));
-    workload.set("ranks", util::JsonValue::number(spec.workload.ranks));
-    workload.set("seed", util::JsonValue::number(static_cast<double>(spec.workload.seed)));
-    workload.set("phases",
-                 util::JsonValue::number(static_cast<double>(spec.workload.phases.size())));
-    doc.set("workload", std::move(workload));
-  }
+  doc.set("platform", platform_json(spec));
+  if (spec.has_workload) doc.set("workload", workload_json(spec));
   doc.set("workers", util::JsonValue::number(outcome.workers));
   if (outcome.resumed > 0) doc.set("resumed", util::JsonValue::number(outcome.resumed));
   doc.set("wall_s", util::JsonValue::number(outcome.wall_s));
@@ -425,79 +463,45 @@ std::string report_csv(const CampaignSpec& spec, const std::vector<Scenario>& sc
   SMPI_REQUIRE(scenarios.size() * static_cast<std::size_t>(reps) == outcome.results.size(),
                "campaign report: scenario/result count mismatch");
 
-  // One column per axis (in axis order) so the grid pivots cleanly.
-  std::vector<std::string> axis_keys;
-  for (const Axis& axis : spec.axes) axis_keys.push_back(axis.key());
-
-  std::string csv = "id,rep,label,ok,retries,timed_out";
-  for (const std::string& key : axis_keys) csv += "," + key;
-  csv +=
-      ",simulated_time,speedup_vs_baseline,wall_s,records,ranks,compute_total_s,comm_total_s,"
-      "compute_max_s,comm_max_s,solver_solves,solver_vars_touched,solver_cons_touched,"
-      "pool_hits,pool_misses,eager_snapshots,eager_copy_elided,eager_flush_snapshots,"
-      "bytes_not_copied,wait_fraction,critical_path_s,cp_compute_s,cp_comm_s,dominant_wait,"
-      "top_bottleneck,bottleneck_saturated_s,max_link_utilization,worker_exit,error\n";
-
   // One row per unit: with replications the per-rep runs appear individually
-  // (the fold-down statistics live in the JSON report).
+  // (the fold-down statistics live in the JSON report). The result columns
+  // sit around one column per axis (in axis order), so the grid pivots
+  // cleanly; a block the run does not have leaves its columns empty.
+  std::string csv = "id,rep,label";
+  auto columns = [&](std::initializer_list<Column> which, const R* r, const R* baseline) {
+    for (const Column column : which) {
+      for (const Field& f : kResultFields) {
+        if (f.column != column) continue;
+        csv += ',';
+        if (r == nullptr) {
+          csv += std::string(f.block->column_prefix) + f.key;
+        } else if (present(*f.block, *r)) {
+          csv += value_of(f, *r, baseline, [&](const auto& v) { return csv_cell(v, f.quoted); });
+        }
+      }
+    }
+  };
+  columns({Column::kLead}, nullptr, nullptr);
+  for (const Axis& axis : spec.axes) csv += ',' + csv_cell(axis.key(), false);
+  columns({Column::kBody, Column::kLast}, nullptr, nullptr);
+  csv += '\n';
   for (std::size_t unit = 0; unit < outcome.results.size(); ++unit) {
     const ScenarioResult& r = outcome.results[unit];
     const Scenario& scenario = scenarios[unit / static_cast<std::size_t>(reps)];
     const ScenarioResult& baseline =
         outcome.results[unit % static_cast<std::size_t>(reps)];  // same-rep baseline
-    csv += std::to_string(scenario.id);
-    csv += ',' + std::to_string(r.rep);
-    csv += ",\"" + scenario.label + "\"";
-    csv += r.ok ? ",1" : ",0";
-    csv += ',' + std::to_string(r.retries);
-    csv += r.timed_out ? ",1" : ",0";
-    for (const std::string& key : axis_keys) {
-      const util::JsonValue* value = scenario.find(key);
+    csv += std::to_string(scenario.id) + ',' + std::to_string(r.rep) + ',' +
+           csv_cell(scenario.label, true);
+    columns({Column::kLead}, &r, &baseline);
+    for (const Axis& axis : spec.axes) {
+      const util::JsonValue* value = scenario.find(axis.key());
       csv += ',';
       if (value != nullptr) {
-        csv += value->is_string() ? value->as_string() : value->dump();
+        csv += csv_cell(value->is_string() ? value->as_string() : value->dump(), false);
       }
     }
-    if (r.ok) {
-      csv += ',' + format_double(r.simulated_time);
-      csv += ',' + format_double(speedup_vs_baseline(baseline, r));
-      csv += ',' + format_double(r.wall_s);
-      csv += ',' + std::to_string(r.records);
-      csv += ',' + std::to_string(r.ranks);
-      csv += ',' + format_double(r.compute_total_s());
-      csv += ',' + format_double(r.comm_total_s());
-      csv += ',' + format_double(r.compute_max_s());
-      csv += ',' + format_double(r.comm_max_s());
-      csv += ',' + std::to_string(r.solver_solves);
-      csv += ',' + std::to_string(r.solver_vars_touched);
-      csv += ',' + std::to_string(r.solver_cons_touched);
-      csv += ',' + std::to_string(r.p2p.pool_hits);
-      csv += ',' + std::to_string(r.p2p.pool_misses);
-      csv += ',' + std::to_string(r.p2p.eager_snapshots);
-      csv += ',' + std::to_string(r.p2p.eager_copy_elided);
-      csv += ',' + std::to_string(r.p2p.eager_flush_snapshots);
-      csv += ',' + std::to_string(r.p2p.bytes_not_copied);
-      if (r.analyzed) {
-        csv += ',' + format_double(r.wait_fraction);
-        csv += ',' + format_double(r.critical_path_s);
-        csv += ',' + format_double(r.cp_compute_s);
-        csv += ',' + format_double(r.cp_comm_s);
-        csv += ',' + r.dominant_wait;
-      } else {
-        csv += ",,,,,";  // analysis was off for this run
-      }
-      if (r.resources_analyzed) {
-        csv += ",\"" + r.top_bottleneck + "\"";
-        csv += ',' + format_double(r.bottleneck_saturated_s);
-        csv += ',' + format_double(r.max_link_utilization);
-      } else {
-        csv += ",,,";  // resources were off for this run
-      }
-      csv += ",,\n";  // empty worker_exit + error
-    } else {
-      // 26 empty metric columns, then the harness diagnostics.
-      csv += ",,,,,,,,,,,,,,,,,,,,,,,,,,\"" + r.worker_exit + "\",\"" + r.error + "\"\n";
-    }
+    columns({Column::kBody, Column::kLast}, &r, &baseline);
+    csv += '\n';
   }
   return csv;
 }
@@ -683,29 +687,14 @@ std::vector<ScenarioResult> results_from_report(const util::JsonValue& report,
   const std::string trace = report.at("trace", "resume report").as_string();
   SMPI_REQUIRE(trace == spec.trace_dir, "campaign resume: report ran over trace '" + trace +
                                             "', spec uses '" + spec.trace_dir + "'");
-  const auto& platform = report.at("platform", "resume report");
-  SMPI_REQUIRE(platform.at("kind", "resume platform").as_string() ==
-                       base_kind_name(spec.base_kind) &&
-                   platform.at("nodes", "resume platform").as_int() == spec.base_nodes &&
-                   (spec.platform_file.empty()
-                        ? platform.find("file") == nullptr
-                        : platform.find("file") != nullptr &&
-                              platform.at("file", "resume platform").as_string() ==
-                                  spec.platform_file),
+  SMPI_REQUIRE(report.at("platform", "resume report").dump() == platform_json(spec).dump(),
                "campaign resume: report ran on a different base platform");
   const auto* workload = report.find("workload");
   SMPI_REQUIRE((workload != nullptr) == spec.has_workload,
                "campaign resume: report and spec disagree on the workload trace source");
-  if (workload != nullptr) {
-    SMPI_REQUIRE(
-        workload->at("name", "resume workload").as_string() == spec.workload.name &&
-            workload->at("ranks", "resume workload").as_int() == spec.workload.ranks &&
-            workload->at("seed", "resume workload").as_int() ==
-                static_cast<long long>(spec.workload.seed) &&
-            workload->at("phases", "resume workload").as_int() ==
-                static_cast<long long>(spec.workload.phases.size()),
-        "campaign resume: report ran a different workload (name/ranks/seed/phases changed)");
-  }
+  SMPI_REQUIRE(
+      workload == nullptr || workload->dump() == workload_json(spec).dump(),
+      "campaign resume: report ran a different workload (name/ranks/seed/phases changed)");
 
   std::vector<ScenarioResult> results(scenarios.size() * static_cast<std::size_t>(reps));
   for (std::size_t i = 0; i < results.size(); ++i) {
@@ -713,6 +702,11 @@ std::vector<ScenarioResult> results_from_report(const util::JsonValue& report,
     results[i].rep = static_cast<int>(i) % reps;
     results[i].error = "not present in the resumed report";
   }
+  // An adopted run starts without the placeholder error.
+  auto adopt = [&](const util::JsonValue& entry, std::size_t unit) {
+    results[unit].error.clear();
+    read_result_fields(entry, results[unit], ResultSource::kResumedReport);
+  };
   for (const auto& row : report.at("scenarios", "resume report").items()) {
     const long long id = row.at("id", "resume report row").as_int();
     SMPI_REQUIRE(id >= 0 && id < static_cast<long long>(scenarios.size()),
@@ -727,16 +721,14 @@ std::vector<ScenarioResult> results_from_report(const util::JsonValue& report,
                      scenarios[index].label + "' in the spec but '" + label +
                      "' in the report — the axes changed, start a fresh sweep");
     if (reps == 1) {
-      read_result_fields(row, results[index], ResultSource::kResumedReport);
+      adopt(row, index);
       continue;
     }
     for (const auto& entry : row.at("replications", "resume report row").items()) {
       const long long rep = entry.at("rep", "resume replication entry").as_int();
       SMPI_REQUIRE(rep >= 0 && rep < reps,
                    "campaign resume: replication index out of range");
-      read_result_fields(
-          entry, results[index * static_cast<std::size_t>(reps) + static_cast<std::size_t>(rep)],
-          ResultSource::kResumedReport);
+      adopt(entry, index * static_cast<std::size_t>(reps) + static_cast<std::size_t>(rep));
     }
   }
   return results;

@@ -44,7 +44,7 @@ void read_result_fields(const util::JsonValue& row, ScenarioResult& r, ResultSou
 util::JsonValue report_json(const CampaignSpec& spec, const std::vector<Scenario>& scenarios,
                             const CampaignOutcome& outcome);
 
-// One header line + one row per run (RFC-4180-ish; labels quoted).
+// One header line + one row per run (RFC 4180; every row has the header's width).
 std::string report_csv(const CampaignSpec& spec, const std::vector<Scenario>& scenarios,
                        const CampaignOutcome& outcome);
 

@@ -1,6 +1,7 @@
 #include "campaign/spec.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <set>
 
@@ -262,8 +263,11 @@ std::vector<int> build_placement(const std::string& policy, int nranks, int host
           static_cast<int>((static_cast<long long>(r) * hosts) / nranks);
     }
   } else if (policy.rfind("stride:", 0) == 0) {
-    const int stride = std::stoi(policy.substr(7));
-    SMPI_REQUIRE(stride >= 1, "placement stride must be >= 1");
+    int stride = 0;
+    const char* last = policy.data() + policy.size();
+    const auto [end, error] = std::from_chars(policy.data() + 7, last, stride);
+    SMPI_REQUIRE(error == std::errc() && end == last && stride >= 1,
+                 "placement policy '" + policy + "': the stride must be an integer >= 1");
     for (int r = 0; r < nranks; ++r) {
       placement[static_cast<std::size_t>(r)] = static_cast<int>(
           (static_cast<long long>(r) * stride) % hosts);

@@ -72,12 +72,9 @@ util::JsonValue MetricsRegistry::json() const {
 }
 
 void collect_p2p(MetricsRegistry& registry, const core::P2pCounters& counters) {
-  registry.set_counter("p2p.pool_hits", counters.pool_hits);
-  registry.set_counter("p2p.pool_misses", counters.pool_misses);
-  registry.set_counter("p2p.eager_snapshots", counters.eager_snapshots);
-  registry.set_counter("p2p.eager_copy_elided", counters.eager_copy_elided);
-  registry.set_counter("p2p.eager_flush_snapshots", counters.eager_flush_snapshots);
-  registry.set_counter("p2p.bytes_not_copied", counters.bytes_not_copied);
+  for (const auto& [name, member] : core::kP2pCounterFields) {
+    registry.set_counter(std::string("p2p.") + name, counters.*member);
+  }
 }
 
 void collect_solver(MetricsRegistry& registry, std::uint64_t solves, std::uint64_t vars_touched,

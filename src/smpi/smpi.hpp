@@ -17,6 +17,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "noise/noise.hpp"
@@ -144,6 +145,14 @@ struct P2pCounters {
   std::uint64_t eager_flush_snapshots = 0; // zero-copy envelopes snapshotted at scope exit
   std::uint64_t bytes_not_copied = 0;      // payload bytes delivered without staging
 };
+
+// The counters by name, in report order (obs::collect_p2p, campaign results).
+inline constexpr std::pair<const char*, std::uint64_t P2pCounters::*> kP2pCounterFields[] = {
+    {"pool_hits", &P2pCounters::pool_hits}, {"pool_misses", &P2pCounters::pool_misses},
+    {"eager_snapshots", &P2pCounters::eager_snapshots},
+    {"eager_copy_elided", &P2pCounters::eager_copy_elided},
+    {"eager_flush_snapshots", &P2pCounters::eager_flush_snapshots},
+    {"bytes_not_copied", &P2pCounters::bytes_not_copied}};
 
 using MpiMain = std::function<void(int argc, char** argv)>;
 

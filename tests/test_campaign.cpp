@@ -6,6 +6,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <filesystem>
@@ -186,7 +187,9 @@ TEST(CampaignMaterialize, UnknownTargetsAreHardErrors) {
 TEST(CampaignMaterialize, PlacementPolicies) {
   const auto spec = parse_spec(R"({
     "platform": {"kind": "flat", "nodes": 4},
-    "axes": [{"param": "placement", "values": ["block", "stride:2", "round_robin", "diagonal"]}]
+    "axes": [{"param": "placement",
+              "values": ["block", "stride:2", "round_robin", "diagonal", "stride:abc",
+                         "stride:99999999999"]}]
   })");
   const auto scenarios = cp::enumerate_scenarios(spec);
   const auto block = cp::materialize(spec, scenarios[1], 8);
@@ -196,6 +199,16 @@ TEST(CampaignMaterialize, PlacementPolicies) {
   const auto rr = cp::materialize(spec, scenarios[3], 8);
   EXPECT_EQ(rr.config.placement, (std::vector<int>{0, 1, 2, 3, 0, 1, 2, 3}));
   EXPECT_THROW(cp::materialize(spec, scenarios[4], 8), ContractError);  // unknown policy
+  // A stride that is no int names the policy, not the parser that failed.
+  for (const std::size_t bad : {5u, 6u}) {
+    try {
+      cp::materialize(spec, scenarios[bad], 8);
+      ADD_FAILURE() << "stride accepted: " << scenarios[bad].label;
+    } catch (const ContractError& e) {
+      EXPECT_NE(std::string(e.what()).find("placement policy 'stride:"), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(CampaignMaterialize, TopologyNodesRebuildsFlatBase) {
@@ -926,4 +939,550 @@ TEST(CampaignCodec, ReportRoundTripsEveryField) {
     "replications": 2,
     "axes": [{"param": "link_bandwidth_scale", "values": [0.5, 2]}]
   })"), replicated);
+}
+
+// The report format byte for byte: every block of the result object, a
+// failed row, a string axis, a single-run and a replicated sweep. The
+// strings carry no quote or comma, so the CSV needs no quoting beyond the
+// label and the diagnostics it always quotes.
+TEST(CampaignReport, FormatIsPinned) {
+  auto plain_bottleneck = [](cp::ScenarioResult r) {
+    r.top_bottleneck = "backbone";
+    return r;
+  };
+  const auto single_spec = parse_spec(R"({
+    "name": "pin",
+    "platform": {"kind": "flat", "nodes": 4},
+    "axes": [{"param": "placement", "values": ["block", "stride:2"]}]
+  })");
+  cp::CampaignOutcome single;
+  single.workers = 2;
+  single.wall_s = 1.5;
+  single.results = {plain_bottleneck(ok_result(0, 0, true)), ok_result(1, 0, false),
+                    failed_result(2, 0)};
+  const auto single_scenarios = cp::enumerate_scenarios(single_spec);
+  EXPECT_EQ(cp::report_json(single_spec, single_scenarios, single).dump(2),
+            R"json({
+  "campaign": "pin",
+  "trace": "",
+  "platform": {
+    "kind": "flat",
+    "nodes": 4
+  },
+  "workers": 2,
+  "wall_s": 1.5,
+  "scenario_count": 3,
+  "scenarios": [
+    {
+      "id": 0,
+      "label": "baseline",
+      "params": {},
+      "ok": true,
+      "retries": 1,
+      "simulated_time": 0.30000000000000004,
+      "speedup_vs_baseline": 1,
+      "wall_s": 0.33333333333333331,
+      "records": 123456789,
+      "ranks": 3,
+      "arena_bytes": 9007199254740991,
+      "breakdown": {
+        "compute_total_s": 1.0000000000000002,
+        "comm_total_s": 6.0221407599999999e+23,
+        "compute_max_s": 1.0000000000000002,
+        "comm_max_s": 6.0221407599999999e+23,
+        "rank_compute_s": [
+          1.0000000000000002,
+          4.9406564584124654e-324,
+          -0
+        ],
+        "rank_comm_s": [
+          1e-300,
+          2.5,
+          6.0221407599999999e+23
+        ]
+      },
+      "solver": {
+        "solves": 9007199254740991,
+        "vars_touched": 2,
+        "cons_touched": 3
+      },
+      "p2p": {
+        "pool_hits": 11,
+        "pool_misses": 12,
+        "eager_snapshots": 13,
+        "eager_copy_elided": 14,
+        "eager_flush_snapshots": 15,
+        "bytes_not_copied": 16
+      },
+      "analysis": {
+        "wait_fraction": 0.12345678901234568,
+        "critical_path_s": 0.30000000000000004,
+        "cp_compute_s": 0.10000000000000001,
+        "cp_comm_s": 0.20000000000000004,
+        "dominant_wait": "late_sender",
+        "rank_wait_s": [
+          0.69999999999999996,
+          1.0000000000000001e-09,
+          0
+        ],
+        "rank_transfer_s": [
+          0.49999999999999994,
+          3,
+          10000000000
+        ]
+      },
+      "resources": {
+        "top_bottleneck": "backbone",
+        "bottleneck_saturated_s": 6.9999999999999997e-07,
+        "max_link_utilization": 0.99999999999999989
+      }
+    },
+    {
+      "id": 1,
+      "label": "placement=block",
+      "params": {
+        "placement": "block"
+      },
+      "ok": true,
+      "retries": 1,
+      "simulated_time": 1.3,
+      "speedup_vs_baseline": 0.23076923076923078,
+      "wall_s": 0.33333333333333331,
+      "records": 123456789,
+      "ranks": 3,
+      "arena_bytes": 9007199254740991,
+      "breakdown": {
+        "compute_total_s": 1.0000000000000002,
+        "comm_total_s": 6.0221407599999999e+23,
+        "compute_max_s": 1.0000000000000002,
+        "comm_max_s": 6.0221407599999999e+23,
+        "rank_compute_s": [
+          1.0000000000000002,
+          4.9406564584124654e-324,
+          -0
+        ],
+        "rank_comm_s": [
+          1e-300,
+          2.5,
+          6.0221407599999999e+23
+        ]
+      },
+      "solver": {
+        "solves": 9007199254740991,
+        "vars_touched": 2,
+        "cons_touched": 3
+      },
+      "p2p": {
+        "pool_hits": 11,
+        "pool_misses": 12,
+        "eager_snapshots": 13,
+        "eager_copy_elided": 14,
+        "eager_flush_snapshots": 15,
+        "bytes_not_copied": 16
+      }
+    },
+    {
+      "id": 2,
+      "label": "placement=stride:2",
+      "params": {
+        "placement": "stride:2"
+      },
+      "ok": false,
+      "retries": 1,
+      "error": "scenario exceeded the 2 s wall-clock watchdog",
+      "timed_out": true,
+      "worker_exit": "killed by watchdog (killed by signal 9)"
+    }
+  ],
+  "ranking_fastest_first": [
+    0,
+    1
+  ]
+})json");
+  EXPECT_EQ(cp::report_csv(single_spec, single_scenarios, single),
+            R"csv(id,rep,label,ok,retries,timed_out,placement,simulated_time,speedup_vs_baseline,wall_s,records,ranks,compute_total_s,comm_total_s,compute_max_s,comm_max_s,solver_solves,solver_vars_touched,solver_cons_touched,pool_hits,pool_misses,eager_snapshots,eager_copy_elided,eager_flush_snapshots,bytes_not_copied,wait_fraction,critical_path_s,cp_compute_s,cp_comm_s,dominant_wait,top_bottleneck,bottleneck_saturated_s,max_link_utilization,worker_exit,error
+0,0,"baseline",1,1,0,,0.3,1,0.333333333,123456789,3,1,6.02214076e+23,1,6.02214076e+23,9007199254740991,2,3,11,12,13,14,15,16,0.123456789,0.3,0.1,0.2,late_sender,"backbone",7e-07,1,,
+1,0,"placement=block",1,1,0,block,1.3,0.230769231,0.333333333,123456789,3,1,6.02214076e+23,1,6.02214076e+23,9007199254740991,2,3,11,12,13,14,15,16,,,,,,,,,,
+2,0,"placement=stride:2",0,1,1,stride:2,,,,,,,,,,,,,,,,,,,,,,,,,,,"killed by watchdog (killed by signal 9)","scenario exceeded the 2 s wall-clock watchdog"
+)csv");
+
+  const auto replicated_spec = parse_spec(R"({
+    "name": "pin-replicated",
+    "platform": {"kind": "flat", "nodes": 4},
+    "noise": {"seed": 3, "host_speed": {"dist": "normal", "mean": 1.0, "sigma": 0.05}},
+    "replications": 2,
+    "axes": [{"param": "placement", "values": ["round_robin"]}]
+  })");
+  cp::CampaignOutcome replicated;
+  replicated.workers = 1;
+  replicated.wall_s = 0.25;
+  replicated.replications = 2;
+  replicated.results = {ok_result(0, 0, false), ok_result(0, 1, false), failed_result(1, 0),
+                        plain_bottleneck(ok_result(1, 1, true))};
+  const auto replicated_scenarios = cp::enumerate_scenarios(replicated_spec);
+  EXPECT_EQ(cp::report_json(replicated_spec, replicated_scenarios, replicated).dump(2),
+            R"json({
+  "campaign": "pin-replicated",
+  "trace": "",
+  "platform": {
+    "kind": "flat",
+    "nodes": 4
+  },
+  "workers": 1,
+  "wall_s": 0.25,
+  "scenario_count": 2,
+  "replications": 2,
+  "noise_seed": 3,
+  "scenarios": [
+    {
+      "id": 0,
+      "label": "baseline",
+      "params": {},
+      "ok": true,
+      "replications": [
+        {
+          "rep": 0,
+          "ok": true,
+          "retries": 1,
+          "simulated_time": 0.30000000000000004,
+          "speedup_vs_baseline": 1,
+          "wall_s": 0.33333333333333331,
+          "records": 123456789,
+          "ranks": 3,
+          "arena_bytes": 9007199254740991,
+          "breakdown": {
+            "compute_total_s": 1.0000000000000002,
+            "comm_total_s": 6.0221407599999999e+23,
+            "compute_max_s": 1.0000000000000002,
+            "comm_max_s": 6.0221407599999999e+23,
+            "rank_compute_s": [
+              1.0000000000000002,
+              4.9406564584124654e-324,
+              -0
+            ],
+            "rank_comm_s": [
+              1e-300,
+              2.5,
+              6.0221407599999999e+23
+            ]
+          },
+          "solver": {
+            "solves": 9007199254740991,
+            "vars_touched": 2,
+            "cons_touched": 3
+          },
+          "p2p": {
+            "pool_hits": 11,
+            "pool_misses": 12,
+            "eager_snapshots": 13,
+            "eager_copy_elided": 14,
+            "eager_flush_snapshots": 15,
+            "bytes_not_copied": 16
+          }
+        },
+        {
+          "rep": 1,
+          "ok": true,
+          "retries": 1,
+          "simulated_time": 0.31000000000000005,
+          "speedup_vs_baseline": 1,
+          "wall_s": 0.33333333333333331,
+          "records": 123456789,
+          "ranks": 3,
+          "arena_bytes": 9007199254740991,
+          "breakdown": {
+            "compute_total_s": 1.0000000000000002,
+            "comm_total_s": 6.0221407599999999e+23,
+            "compute_max_s": 1.0000000000000002,
+            "comm_max_s": 6.0221407599999999e+23,
+            "rank_compute_s": [
+              1.0000000000000002,
+              4.9406564584124654e-324,
+              -0
+            ],
+            "rank_comm_s": [
+              1e-300,
+              2.5,
+              6.0221407599999999e+23
+            ]
+          },
+          "solver": {
+            "solves": 9007199254740991,
+            "vars_touched": 2,
+            "cons_touched": 3
+          },
+          "p2p": {
+            "pool_hits": 11,
+            "pool_misses": 12,
+            "eager_snapshots": 13,
+            "eager_copy_elided": 14,
+            "eager_flush_snapshots": 15,
+            "bytes_not_copied": 16
+          }
+        }
+      ],
+      "stats": {
+        "count": 2,
+        "mean": 0.30500000000000005,
+        "stddev": 0.0070710678118654814,
+        "min": 0.30000000000000004,
+        "max": 0.31000000000000005,
+        "p5": 0.30050000000000004,
+        "p50": 0.30500000000000005,
+        "p95": 0.30950000000000005,
+        "ci_lo": 0.30000000000000004,
+        "ci_hi": 0.31000000000000005,
+        "speedup_vs_baseline_mean": 1
+      }
+    },
+    {
+      "id": 1,
+      "label": "placement=round_robin",
+      "params": {
+        "placement": "round_robin"
+      },
+      "ok": false,
+      "replications": [
+        {
+          "rep": 0,
+          "ok": false,
+          "retries": 1,
+          "error": "scenario exceeded the 2 s wall-clock watchdog",
+          "timed_out": true,
+          "worker_exit": "killed by watchdog (killed by signal 9)"
+        },
+        {
+          "rep": 1,
+          "ok": true,
+          "retries": 1,
+          "simulated_time": 1.3100000000000001,
+          "speedup_vs_baseline": 0.23664122137404583,
+          "wall_s": 0.33333333333333331,
+          "records": 123456789,
+          "ranks": 3,
+          "arena_bytes": 9007199254740991,
+          "breakdown": {
+            "compute_total_s": 1.0000000000000002,
+            "comm_total_s": 6.0221407599999999e+23,
+            "compute_max_s": 1.0000000000000002,
+            "comm_max_s": 6.0221407599999999e+23,
+            "rank_compute_s": [
+              1.0000000000000002,
+              4.9406564584124654e-324,
+              -0
+            ],
+            "rank_comm_s": [
+              1e-300,
+              2.5,
+              6.0221407599999999e+23
+            ]
+          },
+          "solver": {
+            "solves": 9007199254740991,
+            "vars_touched": 2,
+            "cons_touched": 3
+          },
+          "p2p": {
+            "pool_hits": 11,
+            "pool_misses": 12,
+            "eager_snapshots": 13,
+            "eager_copy_elided": 14,
+            "eager_flush_snapshots": 15,
+            "bytes_not_copied": 16
+          },
+          "analysis": {
+            "wait_fraction": 0.12345678901234568,
+            "critical_path_s": 1.3100000000000001,
+            "cp_compute_s": 0.10000000000000001,
+            "cp_comm_s": 1.21,
+            "dominant_wait": "late_sender",
+            "rank_wait_s": [
+              0.69999999999999996,
+              1.0000000000000001e-09,
+              0
+            ],
+            "rank_transfer_s": [
+              0.49999999999999994,
+              3,
+              10000000000
+            ]
+          },
+          "resources": {
+            "top_bottleneck": "backbone",
+            "bottleneck_saturated_s": 6.9999999999999997e-07,
+            "max_link_utilization": 0.99999999999999989
+          }
+        }
+      ],
+      "stats": {
+        "count": 1,
+        "mean": 1.3100000000000001,
+        "stddev": 0,
+        "min": 1.3100000000000001,
+        "max": 1.3100000000000001,
+        "p5": 1.3100000000000001,
+        "p50": 1.3100000000000001,
+        "p95": 1.3100000000000001,
+        "ci_lo": 1.3100000000000001,
+        "ci_hi": 1.3100000000000001,
+        "speedup_vs_baseline_mean": 0.23282442748091606
+      }
+    }
+  ],
+  "ranking_fastest_first": [
+    0
+  ],
+  "rank_stability": {
+    "winner": 0,
+    "stable_replications": 2,
+    "fraction": 1,
+    "verdict": "stable"
+  }
+})json");
+  EXPECT_EQ(cp::report_csv(replicated_spec, replicated_scenarios, replicated),
+            R"csv(id,rep,label,ok,retries,timed_out,placement,simulated_time,speedup_vs_baseline,wall_s,records,ranks,compute_total_s,comm_total_s,compute_max_s,comm_max_s,solver_solves,solver_vars_touched,solver_cons_touched,pool_hits,pool_misses,eager_snapshots,eager_copy_elided,eager_flush_snapshots,bytes_not_copied,wait_fraction,critical_path_s,cp_compute_s,cp_comm_s,dominant_wait,top_bottleneck,bottleneck_saturated_s,max_link_utilization,worker_exit,error
+0,0,"baseline",1,1,0,,0.3,1,0.333333333,123456789,3,1,6.02214076e+23,1,6.02214076e+23,9007199254740991,2,3,11,12,13,14,15,16,,,,,,,,,,
+0,1,"baseline",1,1,0,,0.31,1,0.333333333,123456789,3,1,6.02214076e+23,1,6.02214076e+23,9007199254740991,2,3,11,12,13,14,15,16,,,,,,,,,,
+1,0,"placement=round_robin",0,1,1,round_robin,,,,,,,,,,,,,,,,,,,,,,,,,,,"killed by watchdog (killed by signal 9)","scenario exceeded the 2 s wall-clock watchdog"
+1,1,"placement=round_robin",1,1,0,round_robin,1.31,0.236641221,0.333333333,123456789,3,1,6.02214076e+23,1,6.02214076e+23,9007199254740991,2,3,11,12,13,14,15,16,0.123456789,1.31,0.1,1.21,late_sender,"backbone",7e-07,1,,
+)csv");
+}
+
+namespace {
+
+// An RFC 4180 reader: commas split fields outside quotes, "" inside quotes
+// is one quote, and a quoted field may span lines.
+std::vector<std::vector<std::string>> parse_csv(const std::string& text) {
+  std::vector<std::vector<std::string>> rows(1, std::vector<std::string>(1));
+  bool quoted = false;
+  for (std::size_t i = 0; i < text.size(); ++i) {
+    const char c = text[i];
+    if (quoted && c == '"' && i + 1 < text.size() && text[i + 1] == '"') {
+      rows.back().back() += '"';
+      ++i;
+    } else if (c == '"') {
+      quoted = !quoted;
+    } else if (!quoted && c == ',') {
+      rows.back().emplace_back();
+    } else if (!quoted && c == '\n') {
+      rows.emplace_back(1);
+    } else {
+      rows.back().back() += c;
+    }
+  }
+  EXPECT_FALSE(quoted) << "unterminated quoted field";
+  EXPECT_EQ(rows.back(), std::vector<std::string>(1)) << "no newline after the last row";
+  rows.pop_back();
+  return rows;
+}
+
+// `column` of every parsed row, by header name.
+std::vector<std::string> csv_column(const std::vector<std::vector<std::string>>& rows,
+                                    const std::string& column) {
+  const auto& header = rows.front();
+  const auto at = std::find(header.begin(), header.end(), column) - header.begin();
+  EXPECT_LT(static_cast<std::size_t>(at), header.size()) << column;
+  std::vector<std::string> cells;
+  for (std::size_t i = 1; i < rows.size(); ++i) cells.push_back(rows[i].at(at));
+  return cells;
+}
+
+}  // namespace
+
+// Every kind of row, at one and at two replications, has exactly the
+// header's columns, and each value sits under its own column.
+TEST(CampaignReport, CsvRowsHaveTheHeaderWidth) {
+  auto analysis_only = [](cp::ScenarioResult r) {
+    r.resources_analyzed = false;
+    r.top_bottleneck = "backbone";
+    return r;
+  };
+  auto resources_only = [](cp::ScenarioResult r) {
+    r.analyzed = false;
+    r.top_bottleneck = "backbone";
+    return r;
+  };
+  auto both_on = [](cp::ScenarioResult r) {
+    r.top_bottleneck = "backbone";
+    return r;
+  };
+  for (const int reps : {1, 2}) {
+    SCOPED_TRACE("replications " + std::to_string(reps));
+    const auto spec = parse_spec(R"({
+      "name": "width",
+      "platform": {"kind": "flat"},
+      "noise": {"seed": 3, "host_speed": {"dist": "normal", "mean": 1.0, "sigma": 0.05}},
+      "replications": )" + std::to_string(reps) + R"(,
+      "axes": [{"param": "link_bandwidth_scale", "values": [0.5, 1, 2, 4]},
+               {"param": "placement", "values": ["block"]}]
+    })");
+    const auto scenarios = cp::enumerate_scenarios(spec);
+    cp::CampaignOutcome outcome;
+    outcome.replications = reps;
+    for (int id = 0; id < 5; ++id) {
+      for (int rep = 0; rep < reps; ++rep) {
+        switch ((id + rep) % 5) {
+          case 0: outcome.results.push_back(both_on(ok_result(id, rep, true))); break;
+          case 1: outcome.results.push_back(analysis_only(ok_result(id, rep, true))); break;
+          case 2: outcome.results.push_back(resources_only(ok_result(id, rep, true))); break;
+          case 3: outcome.results.push_back(ok_result(id, rep, false)); break;
+          default: outcome.results.push_back(failed_result(id, rep)); break;
+        }
+      }
+    }
+    const auto rows = parse_csv(cp::report_csv(spec, scenarios, outcome));
+    ASSERT_EQ(rows.size(), outcome.results.size() + 1);
+    for (std::size_t i = 1; i < rows.size(); ++i) {
+      EXPECT_EQ(rows[i].size(), rows[0].size()) << "row " << i;
+    }
+    const auto ok = csv_column(rows, "ok");
+    const auto error = csv_column(rows, "error");
+    const auto worker_exit = csv_column(rows, "worker_exit");
+    const auto wait = csv_column(rows, "wait_fraction");
+    const auto bottleneck = csv_column(rows, "top_bottleneck");
+    const auto utilization = csv_column(rows, "max_link_utilization");
+    for (std::size_t unit = 0; unit < outcome.results.size(); ++unit) {
+      SCOPED_TRACE("unit " + std::to_string(unit));
+      const cp::ScenarioResult& r = outcome.results[unit];
+      EXPECT_EQ(ok[unit], r.ok ? "1" : "0");
+      EXPECT_EQ(error[unit], r.error);
+      EXPECT_EQ(worker_exit[unit], r.worker_exit);
+      EXPECT_EQ(wait[unit], r.ok && r.analyzed ? "0.123456789" : "");
+      EXPECT_EQ(bottleneck[unit], r.ok && r.resources_analyzed ? "backbone" : "");
+      EXPECT_EQ(utilization[unit], r.ok && r.resources_analyzed ? "1" : "");
+    }
+  }
+}
+
+// Values with commas, quotes and line breaks are quoted with their quotes
+// doubled; a value that needs no quoting is written bare, as before.
+TEST(CampaignReport, CsvQuotesPerRfc4180) {
+  const auto spec = parse_spec(R"({
+    "name": "quoting",
+    "platform": {"kind": "flat"},
+    "axes": [{"param": "placement", "values": ["x,\"y", "plain"]}]
+  })");
+  const auto scenarios = cp::enumerate_scenarios(spec);
+  cp::CampaignOutcome outcome;
+  outcome.results = {ok_result(0, 0, true), failed_result(1, 0), ok_result(2, 0, true)};
+  outcome.results[1].error = "unknown placement policy 'x,\"y'";
+  outcome.results[1].worker_exit = "exited with status 3, after \"retry\"";
+  outcome.results[2].dominant_wait = "late,sender";
+  const std::string csv = cp::report_csv(spec, scenarios, outcome);
+  const auto rows = parse_csv(csv);
+  ASSERT_EQ(rows.size(), 4u);
+  for (std::size_t i = 1; i < rows.size(); ++i) {
+    EXPECT_EQ(rows[i].size(), rows[0].size()) << "row " << i;
+  }
+  EXPECT_EQ(csv_column(rows, "label"),
+            (std::vector<std::string>{"baseline", "placement=x,\"y", "placement=plain"}));
+  EXPECT_EQ(csv_column(rows, "placement"), (std::vector<std::string>{"", "x,\"y", "plain"}));
+  EXPECT_EQ(csv_column(rows, "error")[1], outcome.results[1].error);
+  EXPECT_EQ(csv_column(rows, "worker_exit")[1], outcome.results[1].worker_exit);
+  EXPECT_EQ(csv_column(rows, "top_bottleneck")[0], outcome.results[0].top_bottleneck);
+  EXPECT_EQ(csv_column(rows, "dominant_wait"),
+            (std::vector<std::string>{"late_sender", "", "late,sender"}));
+  EXPECT_NE(csv.find(",\"x,\"\"y\","), std::string::npos) << csv;
+  EXPECT_NE(csv.find(",plain,"), std::string::npos) << csv;
+  EXPECT_NE(csv.find(",late_sender,"), std::string::npos) << csv;
 }
