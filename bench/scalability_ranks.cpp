@@ -40,7 +40,7 @@ int main() {
     };
     for (const auto& test_case : cases) {
       core::SmpiConfig config;
-      config.engine.stack_bytes = 256 * 1024;  // 1024 fibers fit comfortably
+      config.engine.stack_bytes = 256 * 1024;  // address space; committed only where touched
       const auto run = bench::run_collective(platform, config, ranks, test_case.body);
       char ratio[32];
       std::snprintf(ratio, sizeof ratio, "%.2f",

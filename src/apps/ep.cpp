@@ -11,6 +11,12 @@ namespace {
 
 EpResult g_last_result;
 
+// 2^log2_pairs; a shift by a negative or too wide count is undefined.
+std::uint64_t total_pairs(const EpParams& params) {
+  SMPI_REQUIRE(params.log2_pairs >= 0 && params.log2_pairs < 64, "log2_pairs must be in [0, 63]");
+  return std::uint64_t{1} << params.log2_pairs;
+}
+
 // Process `pairs` pairs starting at stream offset `first_pair`, accumulating
 // into `result`. This is the real NAS EP inner loop (Marsaglia polar).
 void ep_kernel(std::uint64_t first_pair, std::uint64_t pairs, EpResult* result) {
@@ -51,17 +57,17 @@ int ep_sample_budget(const EpParams& params) {
 EpResult ep_last_result() { return g_last_result; }
 
 core::MpiMain make_ep_app(const EpParams& params) {
-  return [params](int /*argc*/, char** /*argv*/) {
+  const std::uint64_t all_pairs = total_pairs(params);
+  const int budget = ep_sample_budget(params);
+  return [params, all_pairs, budget](int /*argc*/, char** /*argv*/) {
     MPI_Init(nullptr, nullptr);
     int rank = -1, size = -1;
     MPI_Comm_rank(MPI_COMM_WORLD, &rank);
     MPI_Comm_size(MPI_COMM_WORLD, &size);
-    const std::uint64_t total_pairs = 1ULL << params.log2_pairs;
-    const std::uint64_t my_pairs = total_pairs / static_cast<std::uint64_t>(size);
+    const std::uint64_t my_pairs = all_pairs / static_cast<std::uint64_t>(size);
     const std::uint64_t my_first = my_pairs * static_cast<std::uint64_t>(rank);
     const auto batches = static_cast<std::uint64_t>(params.batches);
     const std::uint64_t per_batch = my_pairs / batches;
-    const int budget = ep_sample_budget(params);
 
     EpResult local;
     for (std::uint64_t b = 0; b < batches; ++b) {
@@ -86,7 +92,7 @@ core::MpiMain make_ep_app(const EpParams& params) {
 
 EpResult ep_reference(const EpParams& params) {
   EpResult result;
-  ep_kernel(0, 1ULL << params.log2_pairs, &result);
+  ep_kernel(0, total_pairs(params), &result);
   return result;
 }
 

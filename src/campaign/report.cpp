@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <optional>
 #include <type_traits>
 #include <utility>
 #include <variant>
@@ -26,8 +27,11 @@ const ScenarioResult& baseline_of(const CampaignOutcome& outcome) {
   return outcome.results.front();
 }
 
-double speedup_vs_baseline(const ScenarioResult& baseline, const ScenarioResult& r) {
-  if (!baseline.ok || !r.ok || r.simulated_time <= 0) return 0;
+// None unless both runs succeeded and `r` took time: a failed baseline has
+// no speedup to offer, not a speedup of 0.
+std::optional<double> speedup_vs_baseline(const ScenarioResult& baseline,
+                                          const ScenarioResult& r) {
+  if (!baseline.ok || !r.ok || r.simulated_time <= 0) return std::nullopt;
   return baseline.simulated_time / r.simulated_time;
 }
 
@@ -224,7 +228,7 @@ const std::vector<Field> kResultFields = [] {
       {&kRun, "ok", Column::kLead, &R::ok},
       {&kHarness, "retries", Column::kLead, &R::retries},
       {&kTotals, "simulated_time", Column::kBody, &R::simulated_time},
-      {&kTotals, "speedup_vs_baseline", Column::kBody, Speedup{}},
+      {&kTotals, "speedup_vs_baseline", Column::kBody, Speedup{}, false, true},
       {&kTotals, "wall_s", Column::kBody, &R::wall_s},
       {&kTotals, "records", Column::kBody, &R::records},
       {&kTotals, "ranks", Column::kBody, &R::ranks},
@@ -272,8 +276,9 @@ auto& member(Result& r, const R*, T R::*m) { return r.*m; }
 template <class Result>
 auto& member(Result& r, const R*, std::uint64_t core::P2pCounters::*m) { return r.p2p.*m; }
 double member(const R& r, const R*, double (R::*m)() const) { return (r.*m)(); }
-double member(const R& r, const R* baseline, Speedup) {
-  return baseline == nullptr ? 0.0 : speedup_vs_baseline(*baseline, r);
+std::optional<double> member(const R& r, const R* baseline, Speedup) {
+  if (baseline == nullptr) return std::nullopt;
+  return speedup_vs_baseline(*baseline, r);
 }
 
 // `fn` applied to the value of `f` in `r`.
@@ -286,6 +291,7 @@ const auto is_unset = [](const auto& v) { return v == std::decay_t<decltype(v)>{
 
 util::JsonValue to_json(bool v) { return util::JsonValue::boolean(v); }
 util::JsonValue to_json(const std::string& v) { return util::JsonValue::string(v); }
+util::JsonValue to_json(const std::optional<double>& v) { return util::JsonValue::number(*v); }
 util::JsonValue to_json(const std::vector<double>& v) {
   util::JsonValue items = util::JsonValue::array();
   for (double x : v) items.append(util::JsonValue::number(x));
@@ -310,6 +316,9 @@ std::string csv_cell(double v, bool) {
   return buf;
 }
 std::string csv_cell(const std::vector<double>&, bool) { return ""; }  // JSON-only
+std::string csv_cell(const std::optional<double>& v, bool quoted) {
+  return v ? csv_cell(*v, quoted) : "";
+}
 template <class Integer>
 std::string csv_cell(Integer v, bool) { return std::to_string(v); }
 
@@ -320,9 +329,7 @@ void set_result_fields(util::JsonValue& row, const ScenarioResult& r,
   util::JsonValue nested = util::JsonValue::object();
   for (const Field& f : kResultFields) {
     // A worker does not know the baseline, so its capsule has no speedup.
-    const bool skip = (std::holds_alternative<Speedup>(f.access) && baseline == nullptr) ||
-                      (f.optional && value_of(f, r, baseline, is_unset));
-    if (skip || !present(*f.block, r)) continue;
+    if ((f.optional && value_of(f, r, baseline, is_unset)) || !present(*f.block, r)) continue;
     util::JsonValue value = value_of(f, r, baseline, [](const auto& v) { return to_json(v); });
     if (f.block->json == nullptr) {
       row.set(f.key, std::move(value));
@@ -574,18 +581,23 @@ std::string report_summary(const CampaignSpec& spec, const std::vector<Scenario>
     const auto index = static_cast<std::size_t>(id);
     if (reps == 1) {
       const ScenarioResult& r = outcome.results[index];
-      std::snprintf(line, sizeof line, "  #%-4d %-48s %.9f s  (%.3fx)", id,
-                    scenarios[index].label.c_str(), r.simulated_time,
-                    speedup_vs_baseline(baseline, r));
+      std::snprintf(line, sizeof line, "  #%-4d %-48s %.9f s", id, scenarios[index].label.c_str(),
+                    r.simulated_time);
       out += line;
+      if (const auto speedup = speedup_vs_baseline(baseline, r)) {
+        std::snprintf(line, sizeof line, "  (%.3fx)", *speedup);
+        out += line;
+      }
       out += wait_note(r);
     } else {
       const ScenarioAgg& agg = aggs[index];
-      const double speedup =
-          !aggs[0].times.empty() && agg.stats.mean > 0 ? aggs[0].stats.mean / agg.stats.mean : 0;
-      std::snprintf(line, sizeof line, "  #%-4d %-48s mean %.9f s +/- %.3g  (%.3fx)", id,
-                    scenarios[index].label.c_str(), agg.stats.mean, agg.stats.stddev, speedup);
+      std::snprintf(line, sizeof line, "  #%-4d %-48s mean %.9f s +/- %.3g", id,
+                    scenarios[index].label.c_str(), agg.stats.mean, agg.stats.stddev);
       out += line;
+      if (!aggs[0].times.empty() && agg.stats.mean > 0) {
+        std::snprintf(line, sizeof line, "  (%.3fx)", aggs[0].stats.mean / agg.stats.mean);
+        out += line;
+      }
       // The wait-state verdict of the first successful replication stands in
       // for the family (noise moves the numbers, rarely the diagnosis).
       for (int rep = 0; rep < reps; ++rep) {

@@ -6,10 +6,6 @@
 #include <time.h>
 #include <unistd.h>
 
-#if defined(__GLIBC__)
-#include <malloc.h>
-#endif
-
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
@@ -164,17 +160,6 @@ constexpr std::int32_t kTaskHang = 2;   // sleep forever (watchdog drill)
 [[noreturn]] void worker_loop(const CampaignSpec& spec, const std::vector<Scenario>& scenarios,
                               int replications, const trace::TiTrace& trace, long long arena_bytes,
                               int task_fd, int result_fd) {
-  // Every scenario allocates and frees the same working set (one 512 KiB
-  // stack per rank, the payload arena). glibc's defaults trim the heap top
-  // after a scenario whenever no live block happens to sit above it, so
-  // whether the next scenario page-faults its whole working set in again
-  // depends on unrelated allocation order (measured 42k vs 400k-600k minor
-  // faults over a 385-scenario sweep). Fixed thresholds keep the heap
-  // across scenarios; the worker's peak RSS is unchanged.
-#if defined(__GLIBC__)
-  mallopt(M_MMAP_THRESHOLD, 32 << 20);
-  mallopt(M_TRIM_THRESHOLD, 64 << 20);
-#endif
   while (true) {
     TaskMsg task;
     if (!read_exact(task_fd, &task, sizeof task) || task.id < 0) ::_exit(0);

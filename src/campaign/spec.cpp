@@ -1,13 +1,13 @@
 #include "campaign/spec.hpp"
 
 #include <algorithm>
-#include <charconv>
 #include <cmath>
 #include <set>
 
 #include "platform/builders.hpp"
 #include "platform/platform_xml.hpp"
 #include "util/check.hpp"
+#include "util/units.hpp"
 
 namespace smpi::campaign {
 
@@ -263,11 +263,9 @@ std::vector<int> build_placement(const std::string& policy, int nranks, int host
           static_cast<int>((static_cast<long long>(r) * hosts) / nranks);
     }
   } else if (policy.rfind("stride:", 0) == 0) {
-    int stride = 0;
-    const char* last = policy.data() + policy.size();
-    const auto [end, error] = std::from_chars(policy.data() + 7, last, stride);
-    SMPI_REQUIRE(error == std::errc() && end == last && stride >= 1,
-                 "placement policy '" + policy + "': the stride must be an integer >= 1");
+    const std::string what = "placement policy '" + policy + "'";
+    const int stride = util::parse_number<int>(policy.substr(7), what);
+    SMPI_REQUIRE(stride >= 1, what + ": the stride must be >= 1");
     for (int r = 0; r < nranks; ++r) {
       placement[static_cast<std::size_t>(r)] = static_cast<int>(
           (static_cast<long long>(r) * stride) % hosts);

@@ -18,7 +18,7 @@ void expand_cluster(Platform& p, const XmlElement& el) {
   const std::string suffix = el.attribute_or("suffix", "");
   const auto ids = parse_radical(el.attribute("radical"));
   const double speed = smpi::util::parse_flops(el.attribute("speed"));
-  const int cores = std::stoi(el.attribute_or("cores", "1"));
+  const int cores = smpi::util::parse_number<int>(el.attribute_or("cores", "1"), "cores");
   const double bw = smpi::util::parse_bandwidth(el.attribute("bw"));
   const double lat = smpi::util::parse_duration(el.attribute("lat"));
 
@@ -47,12 +47,13 @@ std::vector<int> parse_radical(const std::string& text) {
     if (comma == std::string::npos) comma = text.size();
     const std::string chunk = text.substr(pos, comma - pos);
     SMPI_REQUIRE(!chunk.empty(), "empty radical chunk in '" + text + "'");
+    const std::string what = "radical '" + text + "'";
     const auto dash = chunk.find('-');
     if (dash == std::string::npos) {
-      out.push_back(std::stoi(chunk));
+      out.push_back(smpi::util::parse_number<int>(chunk, what));
     } else {
-      const int lo = std::stoi(chunk.substr(0, dash));
-      const int hi = std::stoi(chunk.substr(dash + 1));
+      const int lo = smpi::util::parse_number<int>(chunk.substr(0, dash), what);
+      const int hi = smpi::util::parse_number<int>(chunk.substr(dash + 1), what);
       SMPI_REQUIRE(lo <= hi, "descending radical range in '" + text + "'");
       for (int v = lo; v <= hi; ++v) out.push_back(v);
     }
@@ -72,7 +73,7 @@ Platform load_platform(const XmlElement& root) {
       HostSpec spec;
       spec.name = el.attribute("id");
       spec.speed_flops = smpi::util::parse_flops(el.attribute("speed"));
-      spec.cores = std::stoi(el.attribute_or("cores", "1"));
+      spec.cores = smpi::util::parse_number<int>(el.attribute_or("cores", "1"), "cores");
       p.add_host(std::move(spec));
     } else if (el.name == "link") {
       LinkSpec spec;

@@ -1,14 +1,19 @@
 #include "sim/context.hpp"
 
+#include <sys/mman.h>
 #include <ucontext.h>
+#include <unistd.h>
 
+#include <algorithm>
+#include <cerrno>
 #include <condition_variable>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <mutex>
+#include <string>
+#include <system_error>
 #include <thread>
-#include <vector>
 
 #include "util/check.hpp"
 
@@ -143,6 +148,7 @@ void __sanitizer_start_switch_fiber(void** fake_stack_save, const void* stack_bo
                                     std::size_t stack_size);
 void __sanitizer_finish_switch_fiber(void* fake_stack_save, const void** stack_bottom_old,
                                      std::size_t* stack_size_old);
+void __asan_unpoison_memory_region(const volatile void* addr, std::size_t size);
 }
 #endif
 
@@ -176,6 +182,96 @@ inline void asan_finish_switch(void* save, const void** old_bottom, std::size_t*
 }
 
 // ---------------------------------------------------------------------------
+// Fiber stacks (raw and ucontext backends).
+//
+// A stack is reserved address space, not memory: an anonymous MAP_NORESERVE
+// mapping whose pages the kernel commits only as the fiber touches them,
+// with a PROT_NONE guard page below it so an overflow faults instead of
+// writing over whatever lies underneath. A rank that never goes deeper than
+// a few frames costs a few pages, whatever stack_bytes says.
+//
+// A destroyed stack goes to a per-thread LIFO free list keyed by size. The
+// next stack of that size, in this engine or the next one the thread runs
+// (a campaign worker's scenarios), takes it back with its touched pages
+// still committed: no syscall and no fresh page fault. The list lives in
+// the free stacks' own top bytes, which are committed already; a stack on
+// it stays mapped for the life of the process.
+//
+// Each stack is two mappings (guard and stack), so the default
+// vm.max_map_count of 65530 caps a run near 32k ranks; hitting it raises a
+// std::system_error that says so.
+// ---------------------------------------------------------------------------
+
+struct FreeStack {
+  FreeStack* next;
+  std::size_t size;
+};
+thread_local FreeStack* t_free_stacks = nullptr;
+
+std::size_t page_size() {
+  static const std::size_t page = static_cast<std::size_t>(::sysconf(_SC_PAGESIZE));
+  return page;
+}
+
+class FiberStack {
+ public:
+  explicit FiberStack(std::size_t bytes) {
+    const std::size_t page = page_size();
+    size_ = (std::max(bytes, kMinStack) + page - 1) / page * page;
+    for (FreeStack** link = &t_free_stacks; *link != nullptr; link = &(*link)->next) {
+      if ((*link)->size == size_) {
+        FreeStack* node = *link;
+        *link = node->next;
+        bottom_ = reinterpret_cast<unsigned char*>(node + 1) - size_;
+        return;
+      }
+    }
+    void* guard = ::mmap(nullptr, size_ + page, PROT_READ | PROT_WRITE,
+                         MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE | MAP_STACK, -1, 0);
+    if (guard == MAP_FAILED) fail("mmap", errno);
+    if (::mprotect(guard, page, PROT_NONE) != 0) {
+      const int error = errno;
+      ::munmap(guard, size_ + page);
+      fail("mprotect", error);
+    }
+    bottom_ = static_cast<unsigned char*>(guard) + page;
+  }
+
+  ~FiberStack() {
+    // A fiber that never returned (the final switch out of a dying one)
+    // leaves its frames poisoned; the next owner starts clean.
+#if defined(SMPI_ASAN_FIBERS)
+    __asan_unpoison_memory_region(bottom_, size_);
+#endif
+    auto* node = reinterpret_cast<FreeStack*>(top()) - 1;
+    node->next = t_free_stacks;
+    node->size = size_;
+    t_free_stacks = node;
+  }
+
+  FiberStack(const FiberStack&) = delete;
+  FiberStack& operator=(const FiberStack&) = delete;
+
+  unsigned char* bottom() const { return bottom_; }
+  // Page-aligned, so aligned for every ABI.
+  unsigned char* top() const { return bottom_ + size_; }
+  std::size_t size() const { return size_; }
+
+ private:
+  static constexpr std::size_t kMinStack = 16 * 1024;
+
+  [[noreturn]] void fail(const char* call, int error) const {
+    throw std::system_error(error, std::generic_category(),
+                            std::string(call) + " of a " + std::to_string(size_) +
+                                "-byte fiber stack failed (each rank maps its stack and a "
+                                "guard page; vm.max_map_count bounds the rank count)");
+  }
+
+  unsigned char* bottom_ = nullptr;  // lowest usable byte, just above the guard page
+  std::size_t size_ = 0;
+};
+
+// ---------------------------------------------------------------------------
 // ucontext backend
 // ---------------------------------------------------------------------------
 
@@ -184,7 +280,7 @@ class UcontextContext final : public Context {
   UcontextContext(std::function<void()> body, std::size_t stack_bytes)
       : body_(std::move(body)), stack_(stack_bytes) {
     getcontext(&ctx_);
-    ctx_.uc_stack.ss_sp = stack_.data();
+    ctx_.uc_stack.ss_sp = stack_.bottom();
     ctx_.uc_stack.ss_size = stack_.size();
     ctx_.uc_link = nullptr;
     // makecontext only passes ints portably; smuggle `this` as two halves.
@@ -204,7 +300,7 @@ class UcontextContext final : public Context {
   void resume() override {
     SMPI_ENSURE(!done_, "resuming a finished context");
     started_ = true;
-    asan_start_switch(&kernel_fake_stack_, stack_.data(), stack_.size());
+    asan_start_switch(&kernel_fake_stack_, stack_.bottom(), stack_.size());
     swapcontext(&kernel_ctx_, &ctx_);
     asan_finish_switch(kernel_fake_stack_, nullptr, nullptr);
   }
@@ -238,7 +334,7 @@ class UcontextContext final : public Context {
   }
 
   std::function<void()> body_;
-  std::vector<unsigned char> stack_;
+  FiberStack stack_;
   ucontext_t ctx_{};
   ucontext_t kernel_ctx_{};
   bool started_ = false;
@@ -266,14 +362,13 @@ class UcontextFactory final : public ContextFactory {
 class RawContext final : public Context {
  public:
   RawContext(std::function<void()> body, std::size_t stack_bytes)
-      : body_(std::move(body)), stack_(stack_bytes < kMinStack ? kMinStack : stack_bytes) {
+      : body_(std::move(body)), stack_(stack_bytes) {
     // Prime the stack so the first swap-in pops the callee-saved frame and
     // "returns" into smpi_raw_boot with the context pointer in a
-    // callee-saved register. Stack top is 16-byte aligned, so inside
+    // callee-saved register. The stack top is page-aligned, so inside
     // smpi_raw_boot the stack meets the ABI alignment at the trampoline
     // call.
-    auto top = reinterpret_cast<std::uintptr_t>(stack_.data() + stack_.size());
-    top &= ~static_cast<std::uintptr_t>(0xf);
+    const auto top = reinterpret_cast<std::uintptr_t>(stack_.top());
 #if defined(__x86_64__)
     auto* slots = reinterpret_cast<void**>(top);
     slots[-1] = reinterpret_cast<void*>(&smpi_raw_boot);  // ret target
@@ -309,7 +404,7 @@ class RawContext final : public Context {
   void resume() override {
     SMPI_ENSURE(!done_, "resuming a finished context");
     started_ = true;
-    asan_start_switch(&kernel_fake_stack_, stack_.data(), stack_.size());
+    asan_start_switch(&kernel_fake_stack_, stack_.bottom(), stack_.size());
     smpi_raw_swap(&kernel_sp_, sp_);
     asan_finish_switch(kernel_fake_stack_, nullptr, nullptr);
   }
@@ -341,10 +436,8 @@ class RawContext final : public Context {
   }
 
  private:
-  static constexpr std::size_t kMinStack = 16 * 1024;
-
   std::function<void()> body_;
-  std::vector<unsigned char> stack_;
+  FiberStack stack_;
   void* sp_ = nullptr;         // fiber stack pointer while suspended
   void* kernel_sp_ = nullptr;  // kernel stack pointer while the fiber runs
   bool started_ = false;

@@ -58,8 +58,10 @@ class ContextFactory {
   virtual std::unique_ptr<Context> create(std::function<void()> body) = 0;
   virtual std::string name() const = 0;
 
-  // backend: "ucontext", "thread", or "" to honor SMPI_CONTEXT_BACKEND (with
-  // ucontext as the final default).
+  // backend: "raw", "ucontext", "thread", or "" to honor SMPI_CONTEXT_BACKEND
+  // (with raw as the final default). stack_bytes: the address space of each
+  // raw/ucontext fiber stack, whose pages are committed as the fiber touches
+  // them; create() throws std::system_error when it cannot be mapped.
   static std::unique_ptr<ContextFactory> make(const std::string& backend, std::size_t stack_bytes);
 };
 

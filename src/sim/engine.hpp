@@ -35,7 +35,7 @@ namespace smpi::sim {
 
 struct EngineConfig {
   std::string context_backend;      // "", "ucontext", "thread"
-  std::size_t stack_bytes = 512 * 1024;
+  std::size_t stack_bytes = 512 * 1024;  // address space per rank; committed as touched
   bool trace_events = false;        // record (time, label) pairs for determinism tests
   // Recycle Activities / envelopes / snapshot buffers through engine-owned
   // free lists. Off = the pre-pooling allocation behavior, kept as the

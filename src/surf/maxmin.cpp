@@ -453,38 +453,32 @@ void MaxMinSystem::solve_lazy() {
 
     promoted_cons_.clear();
     for (int c : boundary_cons_) {
-      auto& cons = constraints_[static_cast<std::size_t>(c)];
-      double external = 0, in_old = 0, in_new = 0;
-      double max_external_level = 0;
+      const auto& cons = constraints_[static_cast<std::size_t>(c)];
+      const BoundaryScratch& walk = boundary_scratch_[static_cast<std::size_t>(c)];
+      double in_old = 0, in_new = 0;
       double min_capped_level = kUnbounded;
       bool changed = false, starved = false;
-      for (int v : cons.variables) {
+      for (std::size_t i = walk.set_begin; i < walk.set_end; ++i) {
+        const int v = boundary_members_[i];
         const auto& var = variables_[static_cast<std::size_t>(v)];
-        if (!var.active) continue;
-        if (var.in_set) {
-          in_old += var.old_value;
-          in_new += var.value;
-          if (std::fabs(var.value - var.old_value) >
-              kChangeEps * std::max(1.0, cons.capacity)) {
-            changed = true;
-          }
-          if (var.value <= kStarveEps * cons.capacity) starved = true;
-          if (var.fixed_by == c) {
-            min_capped_level = std::min(min_capped_level, var.value / var.weight);
-          }
-        } else {
-          external += var.value;
-          max_external_level = std::max(max_external_level, var.value / var.weight);
+        in_old += var.old_value;
+        in_new += var.value;
+        if (std::fabs(var.value - var.old_value) > kChangeEps * std::max(1.0, cons.capacity)) {
+          changed = true;
+        }
+        if (var.value <= kStarveEps * cons.capacity) starved = true;
+        if (var.fixed_by == c) {
+          min_capped_level = std::min(min_capped_level, var.value / var.weight);
         }
       }
       const double saturation = cons.capacity * (1 - kSatEps);
-      const bool saturated_before = external + in_old >= saturation;
-      const bool saturated_after = external + in_new >= saturation;
+      const bool saturated_before = walk.external + in_old >= saturation;
+      const bool saturated_after = walk.external + in_new >= saturation;
       // This boundary's frozen remainder capped an in-set member below an
       // out-of-set member's fill level: global max-min would equalize them
       // (the frozen member must shrink), so fairness across the boundary is
       // unresolved even though no in-set value moved.
-      const bool squeezed = max_external_level > min_capped_level * (1 + kSatEps);
+      const bool squeezed = walk.max_external_level > min_capped_level * (1 + kSatEps);
       if (squeezed || ((changed || starved) && (saturated_before || saturated_after))) {
         promoted_cons_.push_back(c);
       }
@@ -537,16 +531,32 @@ void MaxMinSystem::solve_subset(const std::vector<int>& cons_ids,
   // until every variable is fixed.
   constexpr double kEpsRel = 1e-12;
 
+  boundary_members_.clear();
+  boundary_scratch_.resize(constraints_.size());
   for (int c : cons_ids) {
     auto& cons = constraints_[static_cast<std::size_t>(c)];
     if (cons.boundary) {
       // Boundary constraint: its out-of-set members keep their allocation,
-      // so only the leftover capacity is up for filling.
+      // so only the leftover capacity is up for filling. This is the one
+      // walk of its member list: the saturation fixes below and
+      // solve_lazy's promotion check read what it records.
+      BoundaryScratch& walk = boundary_scratch_[static_cast<std::size_t>(c)];
       double external = 0;
+      double max_external_level = 0;
+      walk.set_begin = boundary_members_.size();
       for (int v : cons.variables) {
         const auto& var = variables_[static_cast<std::size_t>(v)];
-        if (var.active && !var.in_set) external += var.value;
+        if (!var.active) continue;
+        if (var.in_set) {
+          boundary_members_.push_back(v);
+        } else {
+          external += var.value;
+          max_external_level = std::max(max_external_level, var.value / var.weight);
+        }
       }
+      walk.set_end = boundary_members_.size();
+      walk.external = external;
+      walk.max_external_level = max_external_level;
       cons.remaining = std::max(0.0, cons.capacity - external);
     } else {
       cons.remaining = cons.capacity;
@@ -646,9 +656,18 @@ void MaxMinSystem::solve_subset(const std::vector<int>& cons_ids,
         if (cons.weight_sum <= 0) continue;
         if (cons.remaining / cons.weight_sum > cutoff) continue;
         // fix_variable mutates weight_sum/remaining, never the member list.
+        // A boundary's out-of-set members are frozen, hence fixed: only its
+        // in-set members can be.
+        const int* first = cons.variables.data();
+        const int* last = first + cons.variables.size();
+        if (cons.boundary) {
+          const BoundaryScratch& walk = boundary_scratch_[static_cast<std::size_t>(c)];
+          first = boundary_members_.data() + walk.set_begin;
+          last = boundary_members_.data() + walk.set_end;
+        }
         bool fixed_here = false;
-        for (int v : cons.variables) {
-          auto& var = variables_[static_cast<std::size_t>(v)];
+        for (const int* it = first; it != last; ++it) {
+          auto& var = variables_[static_cast<std::size_t>(*it)];
           if (!var.active || var.fixed) continue;
           fix_variable(var, mu_constraint * var.weight, c);
           fixed_any = true;

@@ -189,6 +189,17 @@ class MaxMinSystem {
     double remaining = 0;
     double weight_sum = 0;
   };
+  // What solve_subset's one walk of a boundary constraint's member list
+  // records: the frozen usage and highest fill level outside the set, and
+  // the in-set members as boundary_members_[set_begin, set_end), in
+  // member-list order. Kept beside Constraint, which it would push past
+  // one cache line.
+  struct BoundaryScratch {
+    double external = 0;
+    double max_external_level = 0;
+    std::size_t set_begin = 0;
+    std::size_t set_end = 0;
+  };
 
   // Mutation-kind bits pending for the next solve()'s trigger classification.
   enum : std::uint8_t {
@@ -239,6 +250,8 @@ class MaxMinSystem {
   std::vector<int> promoted_cons_;          // scratch: boundaries promoted this round
   std::vector<int> boundary_cons_;          // scratch: current boundary frontier
   std::vector<int> all_cons_;               // scratch: active_cons_ + boundary_cons_
+  std::vector<int> boundary_members_;       // scratch: in-set members of boundaries
+  std::vector<BoundaryScratch> boundary_scratch_;  // scratch: by constraint id
   std::vector<int> last_solved_;
   std::vector<int> changed_constraints_;    // observation: ids with .changed set
   std::vector<double> observe_prev_values_;  // scratch: pre-fill values of var_ids

@@ -1,8 +1,10 @@
 #include "util/units.hpp"
 
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
+#include <type_traits>
 
 #include "util/check.hpp"
 
@@ -31,6 +33,26 @@ NumberSuffix split_number(const std::string& text) {
 }
 
 }  // namespace
+
+template <typename T>
+T parse_number(const std::string& text, const std::string& what) {
+  constexpr bool kInteger = std::is_integral_v<T>;
+  T value{};
+  const char* last = text.data() + text.size();
+  const auto [end, error] = std::from_chars(text.data(), last, value);
+  if (error == std::errc::result_out_of_range) {
+    throw ContractError(what + ": '" + text + "' is out of range");
+  }
+  if (error != std::errc() || end != last || !(kInteger || std::isfinite(value))) {
+    throw ContractError(what + ": '" + text + "' is not " +
+                        (kInteger ? "an integer" : "a number"));
+  }
+  return value;
+}
+
+template int parse_number<int>(const std::string&, const std::string&);
+template long long parse_number<long long>(const std::string&, const std::string&);
+template double parse_number<double>(const std::string&, const std::string&);
 
 std::uint64_t parse_bytes(const std::string& text) {
   const auto [value, suffix] = split_number(text);

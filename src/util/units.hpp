@@ -1,12 +1,19 @@
 // Unit parsing and formatting: byte sizes ("64KiB"), rates ("1Gbps",
 // "125MBps"), durations ("50us"). Used by the platform XML parser and the
-// bench table printers.
+// bench table printers. Plain numbers (command-line options, XML counts)
+// go through parse_number.
 #pragma once
 
 #include <cstdint>
 #include <string>
 
 namespace smpi::util {
+
+// The whole of `text` as a decimal T (int, long long or finite double).
+// Throws ContractError naming `what` (an option or attribute) when text is
+// not such a number or does not fit in T: "--np: 'abc' is not an integer".
+template <typename T>
+T parse_number(const std::string& text, const std::string& what);
 
 // "64KiB" -> 65536; accepts B, KiB, MiB, GiB, KB, MB, GB (decimal) and bare
 // numbers. Throws ContractError on malformed input.

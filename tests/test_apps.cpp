@@ -155,6 +155,21 @@ TEST(EpApp, MatchesSerialReferenceWithFullSampling) {
   EXPECT_EQ(result.annuli, reference.annuli);
 }
 
+// Out-of-range parameters fail when the program is made, before any rank
+// runs: 2^log2_pairs is a shift that is undefined outside [0, 63].
+TEST(EpApp, RejectsParametersOutOfRange) {
+  for (const int log2_pairs : {-1, 64, 100}) {
+    SCOPED_TRACE(log2_pairs);
+    ap::EpParams params;
+    params.log2_pairs = log2_pairs;
+    EXPECT_THROW(ap::make_ep_app(params), smpi::util::ContractError);
+    EXPECT_THROW(ap::ep_reference(params), smpi::util::ContractError);
+  }
+  ap::EpParams params;
+  params.sampling_ratio = 5;
+  EXPECT_THROW(ap::make_ep_app(params), smpi::util::ContractError);
+}
+
 TEST(EpApp, GaussianAcceptanceRateIsPlausible) {
   ap::EpParams params;
   params.log2_pairs = 16;

@@ -1486,3 +1486,59 @@ TEST(CampaignReport, CsvQuotesPerRfc4180) {
   EXPECT_NE(csv.find(",plain,"), std::string::npos) << csv;
   EXPECT_NE(csv.find(",late_sender,"), std::string::npos) << csv;
 }
+
+// A failed baseline leaves every speedup undefined: no JSON key, an empty
+// CSV cell and no ratio in the summary, at one and at two replications,
+// while the scenarios that ran keep their simulated times.
+TEST(CampaignReport, NoSpeedupWithoutABaseline) {
+  for (const int reps : {1, 2}) {
+    SCOPED_TRACE("replications " + std::to_string(reps));
+    const auto spec = parse_spec(R"({
+      "name": "no-baseline",
+      "platform": {"kind": "flat"},
+      "noise": {"seed": 3, "host_speed": {"dist": "normal", "mean": 1.0, "sigma": 0.05}},
+      "replications": )" + std::to_string(reps) + R"(,
+      "axes": [{"param": "link_bandwidth_scale", "values": [0.5, 2]}]
+    })");
+    const auto scenarios = cp::enumerate_scenarios(spec);
+    cp::CampaignOutcome outcome;
+    outcome.workers = 1;
+    outcome.replications = reps;
+    for (int id = 0; id < 3; ++id) {
+      for (int rep = 0; rep < reps; ++rep) {
+        outcome.results.push_back(id == 0 ? failed_result(id, rep) : ok_result(id, rep, false));
+      }
+    }
+
+    const JsonValue report = cp::report_json(spec, scenarios, outcome);
+    const auto& rows = report.at("scenarios", "report").items();
+    ASSERT_EQ(rows.size(), 3u);
+    for (std::size_t i = 1; i < rows.size(); ++i) {
+      if (reps == 1) {
+        EXPECT_NE(rows[i].find("simulated_time"), nullptr);
+        EXPECT_EQ(rows[i].find("speedup_vs_baseline"), nullptr);
+        continue;
+      }
+      for (const auto& entry : rows[i].at("replications", "row").items()) {
+        EXPECT_NE(entry.find("simulated_time"), nullptr);
+        EXPECT_EQ(entry.find("speedup_vs_baseline"), nullptr);
+      }
+      EXPECT_EQ(rows[i].at("stats", "row").find("speedup_vs_baseline_mean"), nullptr);
+    }
+
+    const auto csv = parse_csv(cp::report_csv(spec, scenarios, outcome));
+    ASSERT_EQ(csv.size(), outcome.results.size() + 1);
+    const auto times = csv_column(csv, "simulated_time");
+    const auto speedups = csv_column(csv, "speedup_vs_baseline");
+    for (std::size_t unit = 0; unit < outcome.results.size(); ++unit) {
+      SCOPED_TRACE("unit " + std::to_string(unit));
+      EXPECT_EQ(times[unit].empty(), !outcome.results[unit].ok);
+      EXPECT_EQ(speedups[unit], "");
+    }
+
+    const std::string summary = cp::report_summary(spec, scenarios, outcome, 5);
+    EXPECT_NE(summary.find("baseline FAILED"), std::string::npos) << summary;
+    EXPECT_NE(summary.find("link_bandwidth_scale=2"), std::string::npos) << summary;
+    EXPECT_EQ(summary.find("x)"), std::string::npos) << summary;
+  }
+}

@@ -64,6 +64,21 @@ TEST(Radical, ParsesRangesAndLists) {
   EXPECT_THROW(sp::parse_radical("5-2"), smpi::util::ContractError);
 }
 
+// A bad number names the radical it sits in instead of the bare `stoi`.
+TEST(Radical, RejectsNonNumericAndOutOfRangeBounds) {
+  for (const std::string& text : {std::string("a-3"), std::string("0-x"), std::string("1,z"),
+                                  std::string("0-99999999999"), std::string("3.5")}) {
+    SCOPED_TRACE(text);
+    try {
+      sp::parse_radical(text);
+      ADD_FAILURE() << "radical accepted";
+    } catch (const smpi::util::ContractError& e) {
+      EXPECT_NE(std::string(e.what()).find("radical '" + text + "'"), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 namespace {
 constexpr const char* kPlatformDoc = R"(<?xml version="1.0"?>
 <platform version="4">
@@ -103,6 +118,23 @@ TEST(PlatformXml, ClusterElementExpands) {
   EXPECT_NE(p.find_host("node-7"), -1);
   EXPECT_TRUE(p.has_route(0, 7));
   EXPECT_EQ(p.route_hop_count(0, 7), 1);
+}
+
+TEST(PlatformXml, BadCoreCountNamesTheAttribute) {
+  for (const std::string& cores : {std::string("four"), std::string("99999999999")}) {
+    SCOPED_TRACE(cores);
+    for (const std::string& element :
+         {R"(<host id="n0" speed="1Gf" cores=")" + cores + R"("/>)",
+          R"(<cluster id="c" radical="0-1" speed="1Gf" bw="1Gbps" lat="50us" cores=")" + cores +
+              R"("/>)"}) {
+      try {
+        sp::load_platform_from_string(R"(<platform version="4">)" + element + "</platform>");
+        ADD_FAILURE() << "cores accepted";
+      } catch (const smpi::util::ContractError& e) {
+        EXPECT_EQ(std::string(e.what()).rfind("cores: '" + cores + "'", 0), 0u) << e.what();
+      }
+    }
+  }
 }
 
 TEST(PlatformXml, UnknownRouteEndpointFails) {

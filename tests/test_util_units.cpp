@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "util/check.hpp"
 
 namespace su = smpi::util;
@@ -46,6 +48,45 @@ TEST(ParseFlops, Suffixes) {
   EXPECT_DOUBLE_EQ(su::parse_flops("2.5Gf"), 2.5e9);
   EXPECT_DOUBLE_EQ(su::parse_flops("100Mf"), 1e8);
   EXPECT_DOUBLE_EQ(su::parse_flops("7"), 7.0);
+}
+
+TEST(ParseNumber, WholeStringValues) {
+  EXPECT_EQ(su::parse_number<int>("42", "--np"), 42);
+  EXPECT_EQ(su::parse_number<int>("-3", "--np"), -3);
+  EXPECT_EQ(su::parse_number<long long>("9007199254740993", "--noise-seed"), 9007199254740993LL);
+  EXPECT_DOUBLE_EQ(su::parse_number<double>("0.25", "--sampling"), 0.25);
+  EXPECT_DOUBLE_EQ(su::parse_number<double>("1e-3", "--max-sim-time"), 1e-3);
+  EXPECT_DOUBLE_EQ(su::parse_number<double>("7", "--timeout"), 7.0);
+}
+
+// The message names the option and says what is wrong with the text.
+template <typename T>
+void expect_rejected(const std::string& text, const std::string& problem) {
+  try {
+    su::parse_number<T>(text, "--opt");
+    ADD_FAILURE() << "accepted '" << text << "'";
+  } catch (const su::ContractError& e) {
+    EXPECT_EQ(std::string(e.what()), "--opt: '" + text + "' " + problem);
+  }
+}
+
+TEST(ParseNumber, RejectsNonNumericValuesNamingTheOption) {
+  for (const char* text : {"abc", "", " 4", "4 ", "4x", "+4", "1.5", "0x10"}) {
+    SCOPED_TRACE(text);
+    expect_rejected<int>(text, "is not an integer");
+  }
+  expect_rejected<long long>("12abc", "is not an integer");
+  for (const char* text : {"abc", "", "0.5x", "nan", "inf", "-inf"}) {
+    SCOPED_TRACE(text);
+    expect_rejected<double>(text, "is not a number");
+  }
+}
+
+TEST(ParseNumber, RejectsOutOfRangeValuesNamingTheOption) {
+  expect_rejected<int>("99999999999", "is out of range");
+  expect_rejected<int>("-99999999999", "is out of range");
+  expect_rejected<long long>("99999999999999999999", "is out of range");
+  expect_rejected<double>("1e999", "is out of range");
 }
 
 TEST(Format, RoundTripReadability) {

@@ -32,6 +32,7 @@
 #include "campaign/spec.hpp"
 #include "trace/reader.hpp"
 #include "util/json.hpp"
+#include "util/units.hpp"
 #include "workload/generate.hpp"
 
 namespace {
@@ -90,9 +91,9 @@ Options parse_options(int argc, char** argv) {
       } else if (arg == "--resume") {
         options.resume_file = need_value(i);
       } else if (arg == "--workers") {
-        options.workers = std::stoi(need_value(i));
+        options.workers = smpi::util::parse_number<int>(need_value(i), arg);
       } else if (arg == "--timeout") {
-        options.timeout_s = std::stod(need_value(i));
+        options.timeout_s = smpi::util::parse_number<double>(need_value(i), arg);
       } else if (arg == "--out") {
         options.out_json = need_value(i);
       } else if (arg == "--csv") {

@@ -146,11 +146,12 @@ Options parse_options(int argc, char** argv) {
     const std::string arg = argv[i];
     try {
       if (arg == "--np") {
-        options.np = std::stoi(need_value(i));
+        options.np = smpi::util::parse_number<int>(need_value(i), arg);
       } else if (arg == "--platform") {
         options.platform_file = need_value(i);
       } else if (arg == "--cluster") {
-        options.cluster_nodes = std::stoi(need_value(i));
+        options.cluster_nodes = smpi::util::parse_number<int>(need_value(i), arg);
+        if (options.cluster_nodes < 1) usage("--cluster must be >= 1");
       } else if (arg == "--machine") {
         options.named_platform = need_value(i);
       } else if (arg == "--backend") {
@@ -166,9 +167,9 @@ Options parse_options(int argc, char** argv) {
       } else if (arg == "--fold") {
         options.dt_fold = true;
       } else if (arg == "--log2-pairs") {
-        options.ep_log2_pairs = std::stoi(need_value(i));
+        options.ep_log2_pairs = smpi::util::parse_number<int>(need_value(i), arg);
       } else if (arg == "--sampling") {
-        options.ep_sampling = std::stod(need_value(i));
+        options.ep_sampling = smpi::util::parse_number<double>(need_value(i), arg);
       } else if (arg == "--trace-ti") {
         options.trace_ti_dir = need_value(i);
       } else if (arg == "--replay") {
@@ -180,12 +181,12 @@ Options parse_options(int argc, char** argv) {
       } else if (arg == "--noise") {
         options.noise = need_value(i);
       } else if (arg == "--noise-seed") {
-        options.noise_seed = std::stoll(need_value(i));
+        options.noise_seed = smpi::util::parse_number<long long>(need_value(i), arg);
         if (options.noise_seed < 0) usage("--noise-seed must be >= 0");
       } else if (arg == "--max-sim-time") {
-        options.max_sim_time = std::stod(need_value(i));
+        options.max_sim_time = smpi::util::parse_number<double>(need_value(i), arg);
       } else if (arg == "--wall-timeout") {
-        options.wall_timeout = std::stod(need_value(i));
+        options.wall_timeout = smpi::util::parse_number<double>(need_value(i), arg);
       } else if (arg == "--analyze") {
         options.analyze = true;
       } else if (arg == "--resources") {

@@ -23,6 +23,7 @@
 #include "trace/check.hpp"
 #include "trace/reader.hpp"
 #include "trace/replay.hpp"
+#include "util/units.hpp"
 
 namespace {
 
@@ -82,9 +83,10 @@ int main(int argc, char** argv) {
   const bool dump = argc >= 3 && std::strcmp(argv[2], "--dump") == 0;
   const bool summary = argc >= 3 && std::strcmp(argv[2], "--summary") == 0;
   const bool check = argc >= 3 && std::strcmp(argv[2], "--check") == 0;
-  const int dump_rank = argc >= 4 ? std::atoi(argv[3]) : -1;
 
   try {
+    const int dump_rank =
+        dump && argc >= 4 ? smpi::util::parse_number<int>(argv[3], "--dump rank") : -1;
     // Lenient load: the inspector must be able to show how far an
     // interrupted capture got, which strict validation would reject.
     const smpi::trace::TiTrace trace = smpi::trace::load_ti_trace(dir, /*validate=*/false);
