@@ -5,7 +5,6 @@
 #include <cstring>
 #include <map>
 
-#include "trace/paje.hpp"
 #include "util/json.hpp"
 
 namespace smpi::obs {
@@ -247,63 +246,6 @@ util::JsonValue analysis_json(const AnalysisResult& result) {
   }
   doc.set("ops", std::move(ops));
   return doc;
-}
-
-std::uint64_t export_classified_paje(const SpanCollector& spans, const std::string& path,
-                                     double finish_time) {
-  struct Event {
-    double date;
-    int rank;
-    bool push;  // false = pop
-    const char* state;
-  };
-  std::vector<Event> events;
-  for (int r = 0; r < spans.nranks(); ++r) {
-    // Group this rank's intervals by owning span (both streams are in
-    // program order, so one forward scan suffices).
-    const auto& intervals = spans.intervals(r);
-    std::size_t next = 0;
-    const auto& rank_spans = spans.spans(r);
-    for (std::size_t s = 0; s < rank_spans.size(); ++s) {
-      const Span& span = rank_spans[s];
-      double cursor = span.t_start;
-      const auto emit = [&](double t0, double t1, const char* state) {
-        if (t1 <= t0) return;
-        events.push_back({t0, r, true, state});
-        events.push_back({t1, r, false, state});
-      };
-      while (next < intervals.size() && intervals[next].span <= static_cast<int>(s)) {
-        const BlockedInterval& b = intervals[next];
-        if (b.span != static_cast<int>(s)) {  // orphan (no open span): skip
-          ++next;
-          continue;
-        }
-        emit(cursor, b.t0, "compute");
-        const double fs = b.t0 + b.wait_s();
-        emit(b.t0, fs, wait_class_name(b.cls));
-        emit(fs, b.t1, "transfer");
-        cursor = std::max(cursor, b.t1);
-        ++next;
-      }
-      emit(cursor, span.t_end, "compute");
-    }
-  }
-  // Paje wants globally non-decreasing dates. Events were appended rank-major
-  // in per-rank order; a stable sort by date preserves each rank's pop-
-  // before-push sequencing at shared dates.
-  std::stable_sort(events.begin(), events.end(),
-                   [](const Event& a, const Event& b) { return a.date < b.date; });
-  trace::PajeWriter writer(path);
-  writer.begin(spans.nranks());
-  for (const Event& event : events) {
-    if (event.push) {
-      writer.push_state(event.rank, event.state, event.date);
-    } else {
-      writer.pop_state(event.rank, event.date);
-    }
-  }
-  writer.finish(std::max(finish_time, events.empty() ? 0.0 : events.back().date));
-  return writer.events();
 }
 
 }  // namespace smpi::obs

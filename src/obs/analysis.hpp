@@ -94,11 +94,4 @@ std::string analysis_text(const AnalysisResult& result);
 // JSON form (campaign rows embed a reduced version; this is the full one).
 util::JsonValue analysis_json(const AnalysisResult& result);
 
-// Paje timeline colored by wait-state class: each rank's states are
-// "compute", "transfer", or the wait-state class name, post-hoc from the
-// span stream (globally date-sorted, as the Paje format requires). Returns
-// the number of events written.
-std::uint64_t export_classified_paje(const SpanCollector& spans, const std::string& path,
-                                     double finish_time);
-
 }  // namespace smpi::obs

@@ -8,7 +8,6 @@
 #include "obs/resource.hpp"
 #include "obs/span.hpp"
 #include "trace/capture.hpp"
-#include "trace/paje.hpp"
 #include "trace/writer.hpp"
 
 namespace smpi::obs {
@@ -23,14 +22,14 @@ class InstalledCollectors {
     if (c_.resources != nullptr) install_resources(c_.resources);
     if (c_.spans != nullptr) install_spans(c_.spans);
     if (c_.profiler != nullptr) install_profiler(c_.profiler);
-    if (c_.ti != nullptr || c_.paje != nullptr) trace::install_capture(c_.ti, c_.paje);
+    if (c_.ti != nullptr) trace::install_capture(c_.ti);
   }
   ~InstalledCollectors() { clear(); }
   InstalledCollectors(const InstalledCollectors&) = delete;
   InstalledCollectors& operator=(const InstalledCollectors&) = delete;
 
   void clear() {
-    if (c_.ti != nullptr || c_.paje != nullptr) trace::clear_capture();
+    if (c_.ti != nullptr) trace::clear_capture();
     if (c_.profiler != nullptr) clear_profiler();
     if (c_.spans != nullptr) clear_spans();
     if (c_.resources != nullptr) clear_resources();
@@ -58,7 +57,6 @@ RunTotals run_observed(const platform::Platform& platform, const core::SmpiConfi
   // installed.
   std::optional<core::SmpiWorld> world;
   InstalledCollectors slots(collectors);
-  if (collectors.paje != nullptr) collectors.paje->begin(nprocs);
   const auto wall_start = std::chrono::steady_clock::now();
   world.emplace(platform, config);
   world->run(nprocs, std::move(app), {}, std::move(app_name));
@@ -84,7 +82,6 @@ RunTotals run_observed(const platform::Platform& platform, const core::SmpiConfi
   slots.clear();
   if (collectors.resources != nullptr) collectors.resources->finalize(totals.simulated_time);
   if (collectors.ti != nullptr) collectors.ti->finish();
-  if (collectors.paje != nullptr) collectors.paje->finish(totals.simulated_time);
   if (net != nullptr) add_solver(totals, net->solver());
   add_solver(totals, world->cpu_model().solver());
   if (collectors.spans != nullptr) {

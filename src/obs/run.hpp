@@ -1,7 +1,7 @@
 // One way to run a simulation under observation.
 //
-// Every observer of a run lives in a process-global slot (TI/Paje capture,
-// span collector, resource collector, profiler), and each slot has rules:
+// Every observer of a run lives in a process-global slot (TI capture, span
+// collector, resource collector, profiler), and each slot has rules:
 // the resource collector must be live before the world is built (the surf
 // models register their links and hosts in their constructors), every slot
 // must be cleared before the caller's collectors can be destroyed, and the
@@ -20,7 +20,6 @@
 #include "surf/maxmin.hpp"
 
 namespace smpi::trace {
-class PajeWriter;
 class TiWriter;
 }  // namespace smpi::trace
 
@@ -31,13 +30,13 @@ class ResourceCollector;
 class SpanCollector;
 
 // Caller-owned observers of one run; null members stay off. run_observed
-// installs each non-null one, drives the writers' begin()/finish() and the
+// installs each non-null one, drives the TI writer's finish() and the
 // resource collector's finalize(), sets the profiler's total wall time to
 // the span that builds and runs the world, and clears every slot it filled
-// before it returns or throws.
+// before it returns or throws. The spans are what a Paje timeline is
+// written from after the run (trace::write_paje).
 struct RunCollectors {
   trace::TiWriter* ti = nullptr;
-  trace::PajeWriter* paje = nullptr;   // live per-MPI-call Paje timeline
   SpanCollector* spans = nullptr;      // sized to the run's process count
   ResourceCollector* resources = nullptr;
   Profiler* profiler = nullptr;

@@ -6,15 +6,14 @@
 // activity. This is the mechanism that makes the simulation *on-line* (the
 // code actually executes) yet strictly sequential (§5.1 of the paper).
 //
-// Three interchangeable backends:
-//  * "raw"      — hand-rolled callee-saved-register stack switch (x86-64
-//    and aarch64 Linux), the default there: no sigprocmask syscall per
-//    switch, ~20x faster than swapcontext. On aarch64 the frame carries
-//    x19-x28, fp/lr, and d8-d15 per AAPCS64. Falls back to ucontext
-//    elsewhere.
-//  * "ucontext" — swapcontext-based fibers, the portable POSIX default;
-//  * "thread"   — one std::thread per context with strict semaphore handoff,
-//    a portable fallback (select with SMPI_CONTEXT_BACKEND=thread).
+// One switch per platform:
+//  * "raw"      — hand-rolled callee-saved-register stack switch, used on
+//    x86-64 Linux: no sigprocmask syscall per switch, ~20x faster than
+//    swapcontext;
+//  * "ucontext" — swapcontext-based fibers, used everywhere else. It can
+//    also be asked for by name, so the fallback runs on x86-64 too.
+// Fiber code is ordinary code on an ordinary stack, so gprof (-pg)
+// attributes it like any other function.
 #pragma once
 
 #include <cstddef>
@@ -58,8 +57,8 @@ class ContextFactory {
   virtual std::unique_ptr<Context> create(std::function<void()> body) = 0;
   virtual std::string name() const = 0;
 
-  // backend: "raw", "ucontext", "thread", or "" to honor SMPI_CONTEXT_BACKEND
-  // (with raw as the final default). stack_bytes: the address space of each
+  // backend: "" or "raw" for the platform's switch (raw where available,
+  // ucontext elsewhere), or "ucontext". stack_bytes: the address space of each
   // raw/ucontext fiber stack, whose pages are committed as the fiber touches
   // them; create() throws std::system_error when it cannot be mapped.
   static std::unique_ptr<ContextFactory> make(const std::string& backend, std::size_t stack_bytes);

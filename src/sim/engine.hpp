@@ -34,7 +34,7 @@
 namespace smpi::sim {
 
 struct EngineConfig {
-  std::string context_backend;      // "", "ucontext", "thread"
+  std::string context_backend;      // "" (the platform's switch), "raw", "ucontext"
   std::size_t stack_bytes = 512 * 1024;  // address space per rank; committed as touched
   bool trace_events = false;        // record (time, label) pairs for determinism tests
   // Recycle Activities / envelopes / snapshot buffers through engine-owned

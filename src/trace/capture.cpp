@@ -5,7 +5,6 @@
 
 #include "obs/span.hpp"
 #include "smpi/internals.hpp"
-#include "trace/paje.hpp"
 #include "trace/writer.hpp"
 #include "util/check.hpp"
 
@@ -15,7 +14,6 @@ namespace {
 
 struct Instrumentation {
   TiWriter* ti = nullptr;
-  PajeWriter* paje = nullptr;
   // Request* -> capture id, per rank. Request objects are pooled and their
   // addresses recycled after GC, so bindings are erased when consumed.
   std::vector<std::unordered_map<const core::Request*, long long>> request_ids;
@@ -31,9 +29,8 @@ core::Process* capture_process() {
 
 }  // namespace
 
-void install_capture(TiWriter* ti, PajeWriter* paje) {
+void install_capture(TiWriter* ti) {
   g_instr.ti = ti;
-  g_instr.paje = paje;
   g_instr.request_ids.clear();
   g_instr.request_seq.clear();
   if (ti != nullptr) {
@@ -42,9 +39,9 @@ void install_capture(TiWriter* ti, PajeWriter* paje) {
   }
 }
 
-void clear_capture() { install_capture(nullptr, nullptr); }
+void clear_capture() { install_capture(nullptr); }
 
-bool capture_installed() { return g_instr.ti != nullptr || g_instr.paje != nullptr; }
+bool capture_installed() { return g_instr.ti != nullptr; }
 
 ApiScope::ApiScope(const char* state) : state_(state) {
   if (!capture_installed() && !obs::spans_enabled()) return;
@@ -53,25 +50,15 @@ ApiScope::ApiScope(const char* state) : state_(state) {
   outer_ = ++proc_->trace_depth == 1;
   recording_ = outer_ && g_instr.ti != nullptr;
   start_time_ = proc_->world->engine().now();
-  if (outer_) {
-    if (g_instr.paje != nullptr) {
-      g_instr.paje->push_state(proc_->world_rank, state_, start_time_);
-    }
-    if (obs::spans_enabled()) {
-      obs::spans()->on_enter(proc_->world_rank, state_, start_time_);
-    }
+  if (outer_ && obs::spans_enabled()) {
+    obs::spans()->on_enter(proc_->world_rank, state_, start_time_);
   }
 }
 
 ApiScope::~ApiScope() {
   if (proc_ == nullptr) return;
-  if (outer_) {
-    if (g_instr.paje != nullptr) {
-      g_instr.paje->pop_state(proc_->world_rank, proc_->world->engine().now());
-    }
-    if (obs::spans_enabled()) {
-      obs::spans()->on_exit(proc_->world_rank, proc_->world->engine().now());
-    }
+  if (outer_ && obs::spans_enabled()) {
+    obs::spans()->on_exit(proc_->world_rank, proc_->world->engine().now());
   }
   --proc_->trace_depth;
 }

@@ -1,8 +1,8 @@
 // Capture instrumentation bridge between the MPI implementation and the
-// trace writers.
+// TI trace writer and span collector.
 //
-// At most one instrumentation set (TI writer and/or Paje writer) is active
-// at a time, matching the one-SmpiWorld-at-a-time rule. The MPI entry points
+// At most one TI writer is installed at a time, matching the
+// one-SmpiWorld-at-a-time rule. The MPI entry points
 // open an ApiScope; only the *outermost* scope on a rank records — the
 // collectives, MPI_Finalize, MPI_Waitsome, ... are implemented on top of
 // other MPI calls, and those inner calls must not be captured (the replay
@@ -13,10 +13,11 @@
 // the plain collectives they are (on a *derived* parent communicator those
 // inner collectives throw, like any derived-comm collective under capture).
 //
-// When nothing is installed (no writer and no obs::SpanCollector — the scope
-// also feeds the span layer, see obs/span.hpp) the ApiScope constructor is
-// two global loads and a branch, so uninstrumented runs pay nothing
-// measurable per MPI call.
+// The scope also feeds the span layer (obs/span.hpp), the one timestamped
+// stream: the Paje timeline is written from it after the run
+// (trace/paje.hpp). When nothing is installed (no writer and no
+// obs::SpanCollector) the ApiScope constructor is two global loads and a
+// branch, so uninstrumented runs pay nothing measurable per MPI call.
 #pragma once
 
 #include "trace/record.hpp"
@@ -29,18 +30,17 @@ class Request;
 namespace smpi::trace {
 
 class TiWriter;
-class PajeWriter;
 
-// Install instrumentation for the next/current simulation. `ti` and `paje`
-// may each be null; both null is equivalent to clear_capture(). The caller
-// keeps ownership and must clear before destroying the writers.
-void install_capture(TiWriter* ti, PajeWriter* paje);
+// Install the TI writer for the next/current simulation; null is
+// equivalent to clear_capture(). The caller keeps ownership and must clear
+// before destroying the writer.
+void install_capture(TiWriter* ti);
 void clear_capture();
 bool capture_installed();
 
 class ApiScope {
  public:
-  // `state` is the Paje state name for this call (also pushed/popped).
+  // `state` names the call: its span's op (Span::op), and so its Paje state.
   explicit ApiScope(const char* state);
   ~ApiScope();
 

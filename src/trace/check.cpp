@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <set>
 #include <utility>
 
 #include "trace/reader.hpp"
@@ -58,7 +59,39 @@ TraceCheckReport check_trace(const TiTrace& trace) {
   std::vector<std::vector<TiOp>> collectives(static_cast<std::size_t>(nranks));
 
   for (int rank = 0; rank < nranks; ++rank) {
-    for (const TiRecord& r : trace.ranks[static_cast<std::size_t>(rank)]) {
+    const auto& records = trace.ranks[static_cast<std::size_t>(rank)];
+    const std::string who = "rank " + std::to_string(rank) + ": ";
+    switch (rank_shape(records)) {
+      case RankShape::kOk:
+        break;
+      case RankShape::kEmpty:
+        report.findings.push_back({rank, who + "has no records"});
+        break;
+      case RankShape::kNoInit:
+        report.findings.push_back({rank, who + "starts with " + ti_op_name(records.front().op) +
+                                             " instead of init"});
+        break;
+      case RankShape::kNoFinalize:
+        report.findings.push_back({rank, who + "ends with " + ti_op_name(records.back().op) +
+                                             " instead of finalize"});
+        break;
+    }
+    // Request ids issued by isend/irecv and not consumed yet, as the replay
+    // tracks them.
+    std::set<long long> pending;
+    const auto consume = [&](const TiRecord& r, long long id) {
+      if (pending.erase(id) == 0) {
+        report.findings.push_back({rank, who + ti_op_name(r.op) + " on request id " +
+                                             std::to_string(id) +
+                                             ", which it never issued or already consumed"});
+      }
+    };
+    for (const TiRecord& r : records) {
+      if (r.op == TiOp::kIsend || r.op == TiOp::kIrecv) pending.insert(r.req);
+      if (r.op == TiOp::kWait || r.op == TiOp::kReqFree) consume(r, r.req);
+      if (r.op == TiOp::kWaitall) {
+        for (long long id : r.reqs) consume(r, id);
+      }
       const bool send_side = r.op == TiOp::kSend || r.op == TiOp::kIsend ||
                              r.op == TiOp::kSendrecv;
       const bool recv_side = r.op == TiOp::kRecv || r.op == TiOp::kIrecv;

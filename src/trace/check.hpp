@@ -8,6 +8,11 @@
 // simulated deadlock; `check_trace` finds the disagreement by counting, with
 // no simulation at all.
 //
+// It also reports what the replay itself would reject on a single rank: a
+// rank that does not start with init or end with finalize (the loader's
+// validation rule, trace::rank_shape), and a wait, waitall or reqfree on a
+// request id the rank never issued or already consumed.
+//
 // Wildcard receives (MPI_ANY_SOURCE / MPI_ANY_TAG) can match any send, so a
 // rank that posts them only gets the aggregate send/receive balance checked
 // — flagging a specific (source, tag) bucket would be a false positive.

@@ -7,6 +7,13 @@
 
 namespace smpi::trace {
 
+RankShape rank_shape(const std::vector<TiRecord>& records) {
+  if (records.empty()) return RankShape::kEmpty;
+  if (records.front().op != TiOp::kInit) return RankShape::kNoInit;
+  if (records.back().op != TiOp::kFinalize) return RankShape::kNoFinalize;
+  return RankShape::kOk;
+}
+
 TiTrace load_ti_trace(const std::string& dir, bool validate) {
   TiTrace trace;
   {
@@ -56,12 +63,13 @@ TiTrace load_ti_trace(const std::string& dir, bool validate) {
     // messages that are never re-issued), so reject it here with the rank,
     // the path, and where the file ends.
     if (!validate) continue;
-    SMPI_REQUIRE(!records.empty(),
+    const RankShape shape = rank_shape(records);
+    SMPI_REQUIRE(shape != RankShape::kEmpty,
                  "trace for rank " + std::to_string(rank) + " is empty: " + path);
-    SMPI_REQUIRE(records.front().op == TiOp::kInit,
+    SMPI_REQUIRE(shape != RankShape::kNoInit,
                  "trace for rank " + std::to_string(rank) + " does not start with init: " + path +
                      " (first record '" + ti_op_name(records.front().op) + "')");
-    SMPI_REQUIRE(records.back().op == TiOp::kFinalize,
+    SMPI_REQUIRE(shape != RankShape::kNoFinalize,
                  "trace for rank " + std::to_string(rank) + " is truncated: " + path +
                      " ends at line " + std::to_string(last_record_line) + " with '" +
                      ti_op_name(records.back().op) +

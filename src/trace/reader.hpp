@@ -21,6 +21,12 @@ struct TiTrace {
   }
 };
 
+// The structural rule every replayable rank obeys: its records start with
+// init and end with finalize. One rule for the loader's validation and for
+// check_trace (trace/check.hpp), each of which words its own message.
+enum class RankShape { kOk, kEmpty, kNoInit, kNoFinalize };
+RankShape rank_shape(const std::vector<TiRecord>& records);
+
 // Throws util::ContractError on a missing/malformed trace. By default the
 // trace is also validated structurally — every rank file present, starting
 // with init and ending with finalize — so an interrupted capture is rejected

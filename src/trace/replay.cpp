@@ -325,7 +325,6 @@ ReplayResult replay_trace(const platform::Platform& platform, core::SmpiConfig c
   std::shared_ptr<obs::SpanCollector> spans;
   if (options.analyze) spans = std::make_shared<obs::SpanCollector>(trace.nranks);
   obs::RunCollectors collectors;
-  collectors.paje = options.paje;
   collectors.spans = spans.get();
   collectors.resources = options.resources;
   collectors.profiler = options.profiler;

@@ -34,18 +34,15 @@ class SpanCollector;
 
 namespace smpi::trace {
 
-class PajeWriter;
 struct TiTrace;
 
 struct ReplayOptions {
   // Caller-owned observers, installed around the replay's world by
-  // obs::run_observed; null leaves each off. `paje` is the live per-MPI-call
-  // timeline (begin()/finish() are driven here). With `resources` set,
+  // obs::run_observed; null leaves each off. With `resources` set,
   // ReplayResult's bottleneck summary fields are filled from it and it is
   // finalized (intervals closed at the makespan) before replay_trace
   // returns; null keeps the solver's changed-tracking off, and simulated
   // times and solver counters are bit-identical either way.
-  PajeWriter* paje = nullptr;
   obs::ResourceCollector* resources = nullptr;
   obs::Profiler* profiler = nullptr;
   // Pre-computed compute_arena_bytes(trace) result; 0 = compute here. A
@@ -58,7 +55,8 @@ struct ReplayOptions {
   bool payload_free = true;
   // Collect per-op spans during the replay and run the wait-state /
   // critical-path analysis over them (ReplayResult::analysis, and the spans
-  // themselves in ReplayResult::spans). Off by default: with analyze off the
+  // themselves in ReplayResult::spans, from which a Paje timeline is
+  // written: trace::write_paje). Off by default: with analyze off the
   // replay takes the exact same simulated-time trajectory and the span
   // hooks reduce to a global load + branch.
   bool analyze = false;
@@ -91,7 +89,7 @@ struct ReplayResult : obs::RunTotals {
   std::uint64_t arena_bytes = 0;
   std::vector<RankUsage> rank_usage;  // indexed by world rank
   // The spans the analysis ran over (ReplayOptions::analyze), for exports
-  // such as the classified Paje timeline and Perfetto; null otherwise.
+  // such as the Paje timeline and Perfetto; null otherwise.
   std::shared_ptr<const obs::SpanCollector> spans;
   // Resource-utilization summary (ReplayOptions::resources): the dominant
   // bottleneck by saturated time (empty name: nothing ever saturated) and

@@ -731,24 +731,29 @@ TEST(RunObserved, FailedRunsClearEverySlotAndLeaveNoState) {
   // span collector of its own).
   const auto fail_with_all = [&](int nprocs, const auto& run) {
     tr::TiWriter ti((dir / "ti").string(), nprocs, "failing");
-    tr::PajeWriter paje((dir / "run.paje").string());
     obs::SpanCollector spans(nprocs);
     obs::ResourceCollector resources;
     obs::Profiler profiler;
-    run(obs::RunCollectors{&ti, &paje, &spans, &resources, &profiler});
+    run(obs::RunCollectors{&ti, &spans, &resources, &profiler});
     EXPECT_FALSE(any_slot_installed());
+  };
+  // The spans an online run collected up to its failure still make a
+  // timeline.
+  const auto paje_events = [&](const obs::RunCollectors& all) {
+    return tr::write_paje(*all.spans, (dir / "run.paje").string(), 0, tr::PajeStates::kMpiCalls);
   };
   fail_with_all(8, [&](const obs::RunCollectors& all) {
     EXPECT_THROW(obs::run_observed(platform, limited, 8, alltoall_app, all),
                  smpi::sim::TimeLimitError);
+    EXPECT_GT(paje_events(all), 0u);
   });
   fail_with_all(2, [&](const obs::RunCollectors& all) {
     EXPECT_THROW(obs::run_observed(platform, fast_config(), 2, missing_send_app, all),
                  smpi::sim::DeadlockError);
+    EXPECT_GT(paje_events(all), 0u);
   });
   fail_with_all(8, [&](const obs::RunCollectors& all) {
     tr::ReplayOptions options;
-    options.paje = all.paje;
     options.resources = all.resources;
     options.profiler = all.profiler;
     options.analyze = true;
@@ -756,7 +761,6 @@ TEST(RunObserved, FailedRunsClearEverySlotAndLeaveNoState) {
   });
   fail_with_all(2, [&](const obs::RunCollectors& all) {
     tr::ReplayOptions options;
-    options.paje = all.paje;
     options.resources = all.resources;
     options.profiler = all.profiler;
     options.analyze = true;

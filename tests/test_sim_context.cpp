@@ -11,7 +11,6 @@
 #include <system_error>
 #include <vector>
 
-#include "sim/engine.hpp"
 #include "util/check.hpp"
 
 namespace ss = smpi::sim;
@@ -124,7 +123,7 @@ TEST_P(ContextBackendTest, ManyContextsInterleave) {
 // "raw" resolves to the hand-rolled switch on x86-64 Linux and to the
 // ucontext fallback elsewhere — either way the contract must hold.
 INSTANTIATE_TEST_SUITE_P(Backends, ContextBackendTest,
-                         ::testing::Values("raw", "ucontext", "thread"));
+                         ::testing::Values("raw", "ucontext"));
 
 // --- Fiber stacks (raw and ucontext) ---------------------------------------
 
@@ -247,17 +246,5 @@ INSTANTIATE_TEST_SUITE_P(Backends, FiberStackTest, ::testing::Values("raw", "uco
 
 TEST(ContextFactory, RejectsUnknownBackend) {
   EXPECT_THROW(ss::ContextFactory::make("fibers-of-doom", 1024), smpi::util::ContractError);
-}
-
-TEST(EngineWithThreadBackend, FullRunWorks) {
-  ss::EngineConfig config;
-  config.context_backend = "thread";
-  ss::Engine engine(config);
-  double t = -1;
-  engine.spawn("a", 0, [&] {
-    engine.sleep_for(1.0);
-    t = engine.now();
-  });
-  engine.run();
-  EXPECT_DOUBLE_EQ(t, 1.0);
+  EXPECT_THROW(ss::ContextFactory::make("thread", 1024), smpi::util::ContractError);
 }

@@ -155,3 +155,42 @@ TEST(TraceCheck, OutOfWorldPeerIsFlagged) {
   EXPECT_FALSE(report.ok());
   EXPECT_TRUE(any_finding_contains(report, "outside the 2-rank trace"));
 }
+
+// What the replay rejects on one rank, the check reports too.
+TEST(TraceCheck, RecordAfterFinalizeIsFlagged) {
+  auto trace = clean_trace();
+  st::TiRecord compute = rec(st::TiOp::kCompute);
+  compute.value = 1000;
+  trace.ranks[1].push_back(compute);  // the loader calls this rank truncated
+  const auto report = st::check_trace(trace);
+  EXPECT_FALSE(report.ok());
+  EXPECT_TRUE(any_finding_contains(report, "rank 1: ends with compute instead of finalize"));
+  trace.ranks[0].erase(trace.ranks[0].begin());
+  EXPECT_TRUE(any_finding_contains(st::check_trace(trace),
+                                   "rank 0: starts with isend instead of init"));
+}
+
+TEST(TraceCheck, WaitOnUnknownOrConsumedRequestIsFlagged) {
+  auto trace = clean_trace();
+  st::TiRecord wait = rec(st::TiOp::kWait);
+  wait.req = 77;  // never issued
+  trace.ranks[1].insert(trace.ranks[1].end() - 1, wait);
+  auto report = st::check_trace(trace);
+  EXPECT_FALSE(report.ok());
+  EXPECT_TRUE(any_finding_contains(
+      report, "rank 1: wait on request id 77, which it never issued or already consumed"));
+
+  trace = clean_trace();
+  trace.ranks[0][1].req = 0;  // the isend issues id 0
+  trace.ranks[0][2].req = 1;  // the irecv issues id 1
+  st::TiRecord waitall = rec(st::TiOp::kWaitall);
+  waitall.reqs = {0, 1};
+  trace.ranks[0].insert(trace.ranks[0].begin() + 3, waitall);
+  EXPECT_TRUE(st::check_trace(trace).ok());
+  st::TiRecord again = rec(st::TiOp::kWait);
+  again.req = 1;  // consumed by the waitall
+  trace.ranks[0].insert(trace.ranks[0].begin() + 4, again);
+  report = st::check_trace(trace);
+  EXPECT_EQ(report.findings.size(), 1u);
+  EXPECT_TRUE(any_finding_contains(report, "rank 0: wait on request id 1"));
+}

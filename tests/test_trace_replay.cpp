@@ -1,20 +1,21 @@
 // Trace subsystem tests: record round-trips, capture/replay equivalence on
 // the paper's applications (replayed simulated time == online simulated time
 // within 1e-9 relative), payload-free p2p semantics, what-if replays on a
-// different platform, and the Paje timeline writer.
+// different platform, and the Paje timeline written from spans.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "apps/dt.hpp"
 #include "apps/ep.hpp"
 #include "obs/run.hpp"
+#include "obs/span.hpp"
 #include "smpi_test_util.hpp"
-#include "trace/capture.hpp"
 #include "trace/paje.hpp"
 #include "trace/reader.hpp"
 #include "trace/replay.hpp"
@@ -410,48 +411,82 @@ TEST(PayloadFree, ReceiverBufferIsNeverWritten) {
 // Paje timeline
 // ---------------------------------------------------------------------------
 
+namespace {
+
+struct PajeCounts {
+  int pushes = 0, pops = 0, creates = 0, destroys = 0;
+  bool header = false;
+};
+
+PajeCounts count_paje(const std::string& path) {
+  std::ifstream in(path);
+  EXPECT_TRUE(in.good()) << path;
+  PajeCounts counts;
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("%EventDef PajeDefineContainerType", 0) == 0) counts.header = true;
+    if (line.rfind("4 ", 0) == 0) ++counts.pushes;
+    if (line.rfind("5 ", 0) == 0) ++counts.pops;
+    if (line.rfind("2 ", 0) == 0) ++counts.creates;
+    if (line.rfind("3 ", 0) == 0) ++counts.destroys;
+  }
+  return counts;
+}
+
+// One rank's push/pop events in file order: state name ("" for a pop) and
+// date. Also checks that dates never decrease across the whole file.
+struct PajeEvent {
+  std::string state;
+  double date;
+};
+std::vector<std::vector<PajeEvent>> paje_events_by_rank(const std::string& path, int nranks) {
+  std::vector<std::vector<PajeEvent>> ranks(static_cast<std::size_t>(nranks));
+  std::ifstream in(path);
+  std::string line;
+  double last = 0;
+  while (std::getline(in, line)) {
+    if (line.rfind("4 ", 0) != 0 && line.rfind("5 ", 0) != 0) continue;
+    std::istringstream fields(line);
+    int kind = 0;
+    double date = 0;
+    std::string container, type, value;
+    fields >> kind >> date >> container >> type >> value;
+    EXPECT_GE(date, last) << line;
+    last = date;
+    const int rank = std::stoi(container.substr(container.find('-') + 1));
+    ranks[static_cast<std::size_t>(rank)].push_back({kind == 4 ? value : "", date});
+  }
+  return ranks;
+}
+
+}  // namespace
+
 TEST(Paje, TimelineHasBalancedStatesAndContainers) {
   TempDir dir;
   const std::string path = (dir.path / "out.paje").string();
   auto platform = test_cluster(4);
-  auto config = fast_config();
-  {
-    smpi::core::SmpiWorld world(platform, config);
-    tr::PajeWriter paje(path);
-    paje.begin(4);
-    tr::install_capture(nullptr, &paje);
-    world.run(4, [](int, char**) {
-      MPI_Init(nullptr, nullptr);
-      std::vector<char> buf(4096);
-      MPI_Bcast(buf.data(), 4096, MPI_CHAR, 0, MPI_COMM_WORLD);
-      smpi_execute_flops(1e6);
-      MPI_Finalize();
-    });
-    tr::clear_capture();
-    paje.finish(world.simulated_time());
-    EXPECT_GT(paje.events(), 0u);
-  }
-  std::ifstream in(path);
-  ASSERT_TRUE(in.good());
-  std::string line;
-  int pushes = 0, pops = 0, creates = 0, destroys = 0;
-  bool header = false;
-  while (std::getline(in, line)) {
-    if (line.rfind("%EventDef PajeDefineContainerType", 0) == 0) header = true;
-    if (line.rfind("4 ", 0) == 0) ++pushes;
-    if (line.rfind("5 ", 0) == 0) ++pops;
-    if (line.rfind("2 ", 0) == 0) ++creates;
-    if (line.rfind("3 ", 0) == 0) ++destroys;
-  }
-  EXPECT_TRUE(header);
-  EXPECT_EQ(pushes, pops);         // every MPI call opens and closes a state
-  EXPECT_EQ(creates, destroys);    // sim + one container per rank
-  EXPECT_EQ(creates, 5);
+  smpi::obs::SpanCollector spans(4);
+  smpi::obs::RunCollectors collectors;
+  collectors.spans = &spans;
+  const auto totals = smpi::obs::run_observed(platform, fast_config(), 4, [](int, char**) {
+    MPI_Init(nullptr, nullptr);
+    std::vector<char> buf(4096);
+    MPI_Bcast(buf.data(), 4096, MPI_CHAR, 0, MPI_COMM_WORLD);
+    smpi_execute_flops(1e6);
+    MPI_Finalize();
+  }, collectors);
+  EXPECT_EQ(tr::write_paje(spans, path, totals.simulated_time, tr::PajeStates::kMpiCalls),
+            2u * 4 * 4);
+  const PajeCounts counts = count_paje(path);
+  EXPECT_TRUE(counts.header);
+  EXPECT_EQ(counts.pushes, counts.pops);       // every MPI call opens and closes a state
+  EXPECT_EQ(counts.creates, counts.destroys);  // sim + one container per rank
+  EXPECT_EQ(counts.creates, 5);
   // init, bcast, computing, finalize per rank.
-  EXPECT_EQ(pushes, 4 * 4);
+  EXPECT_EQ(counts.pushes, 4 * 4);
 }
 
-// Replay drives the same Paje hooks through the replayed MPI calls.
+// A replay collects the same spans through the replayed MPI calls.
 TEST(Paje, ReplayEmitsTimeline) {
   TempDir dir;
   auto platform = test_cluster(4);
@@ -465,14 +500,76 @@ TEST(Paje, ReplayEmitsTimeline) {
   capture_run(platform, config, 4, app, dir.str());
 
   const std::string path = (dir.path / "replay.paje").string();
-  tr::PajeWriter paje(path);
   tr::ReplayOptions options;
-  options.paje = &paje;
+  options.analyze = true;
   const auto result = tr::replay_trace(platform, config, dir.str(), options);
   EXPECT_GT(result.simulated_time, 0);
-  EXPECT_GT(paje.events(), 0u);
-  std::ifstream in(path);
-  ASSERT_TRUE(in.good());
+  ASSERT_NE(result.spans, nullptr);
+  EXPECT_GT(tr::write_paje(*result.spans, path, result.simulated_time, tr::PajeStates::kMpiCalls),
+            0u);
+  const PajeCounts counts = count_paje(path);
+  EXPECT_EQ(counts.pushes, 3 * 4);  // init, bcast, finalize per rank
+  EXPECT_EQ(counts.pushes, counts.pops);
+}
+
+// The classic timeline of an online run and of the replay of its trace list
+// the same per-rank sequence of states and dates, zero-length calls
+// (MPI_Isend / MPI_Irecv, MPI_Init at date 0) included.
+TEST(Paje, OnlineAndReplayTimelinesAgreePerRank) {
+  TempDir dir;
+  constexpr int kRanks = 4;
+  auto platform = test_cluster(kRanks);
+  auto config = fast_config();
+  const std::string ti_dir = (dir.path / "ti").string();
+  const std::string online_path = (dir.path / "online.paje").string();
+  const std::string replay_path = (dir.path / "replay.paje").string();
+
+  smpi::obs::SpanCollector spans(kRanks);
+  {
+    tr::TiWriter writer(ti_dir, kRanks, "test");
+    smpi::obs::RunCollectors collectors;
+    collectors.ti = &writer;
+    collectors.spans = &spans;
+    const auto totals = smpi::obs::run_observed(platform, config, kRanks, [](int, char**) {
+      MPI_Init(nullptr, nullptr);
+      int rank = 0, size = 0;
+      MPI_Comm_rank(MPI_COMM_WORLD, &rank);
+      MPI_Comm_size(MPI_COMM_WORLD, &size);
+      std::vector<char> out(8192), in(8192);
+      MPI_Request requests[2];
+      MPI_Irecv(in.data(), 8192, MPI_CHAR, (rank + size - 1) % size, 0, MPI_COMM_WORLD,
+                &requests[0]);
+      MPI_Isend(out.data(), 8192, MPI_CHAR, (rank + 1) % size, 0, MPI_COMM_WORLD, &requests[1]);
+      smpi_execute_flops(1e6 * (rank + 1));
+      MPI_Wait(&requests[0], MPI_STATUS_IGNORE);
+      MPI_Wait(&requests[1], MPI_STATUS_IGNORE);
+      MPI_Bcast(out.data(), 4096, MPI_CHAR, 0, MPI_COMM_WORLD);
+      MPI_Finalize();
+    }, collectors);
+    tr::write_paje(spans, online_path, totals.simulated_time, tr::PajeStates::kMpiCalls);
+  }
+  tr::ReplayOptions options;
+  options.analyze = true;
+  const auto result = tr::replay_trace(platform, config, ti_dir, options);
+  tr::write_paje(*result.spans, replay_path, result.simulated_time, tr::PajeStates::kMpiCalls);
+
+  const auto online = paje_events_by_rank(online_path, kRanks);
+  const auto replayed = paje_events_by_rank(replay_path, kRanks);
+  int zero_length = 0;
+  for (int r = 0; r < kRanks; ++r) {
+    const auto& a = online[static_cast<std::size_t>(r)];
+    const auto& b = replayed[static_cast<std::size_t>(r)];
+    // init, irecv, isend, computing, wait, wait, bcast, finalize.
+    ASSERT_EQ(a.size(), 2u * 8) << "rank " << r;
+    ASSERT_EQ(a.size(), b.size()) << "rank " << r;
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      EXPECT_EQ(a[i].state, b[i].state) << "rank " << r << " event " << i;
+      // Dates are printed to the nanosecond.
+      EXPECT_NEAR(a[i].date, b[i].date, 1.5e-9) << "rank " << r << " event " << i;
+      if (i % 2 == 1 && a[i].date == a[i - 1].date) ++zero_length;
+    }
+  }
+  EXPECT_GE(zero_length, 3 * kRanks);
 }
 
 // ---------------------------------------------------------------------------

@@ -407,18 +407,14 @@ int main(int argc, char** argv) {
       }
     }
 
-    // With --analyze the Paje timeline defaults to wait-state coloring
-    // (exported from the spans after the run); --paje-classic keeps the
-    // live per-MPI-call capture instead.
-    const bool classified_paje =
-        !options.trace_paje.empty() && options.analyze && !options.paje_classic;
+    // The Paje timeline is written from the spans after the run, so
+    // --trace-paje collects them even without --analyze (whose report is
+    // then not printed).
+    const bool paje = !options.trace_paje.empty();
+    const bool collect_spans = options.analyze || paje;
     std::unique_ptr<smpi::trace::TiWriter> ti_writer;
     if (!options.trace_ti_dir.empty()) {
       ti_writer = std::make_unique<smpi::trace::TiWriter>(options.trace_ti_dir, np, options.app);
-    }
-    std::unique_ptr<smpi::trace::PajeWriter> paje;
-    if (!options.trace_paje.empty() && !classified_paje) {
-      paje = std::make_unique<smpi::trace::PajeWriter>(options.trace_paje);
     }
     std::unique_ptr<smpi::obs::ResourceCollector> res;
     if (options.resources || !options.trace_perfetto.empty()) {
@@ -430,18 +426,25 @@ int main(int argc, char** argv) {
     smpi::trace::ReplayResult result;
     if (replay) {
       smpi::trace::ReplayOptions replay_options;
-      replay_options.paje = paje.get();
       replay_options.resources = res.get();
       replay_options.profiler = profiler_slot;
-      replay_options.analyze = options.analyze;
+      replay_options.analyze = collect_spans;
       result = smpi::trace::replay_trace(platform, config, trace, replay_options);
     } else {
       std::shared_ptr<smpi::obs::SpanCollector> spans;
-      if (options.analyze) spans = std::make_shared<smpi::obs::SpanCollector>(np);
+      if (collect_spans) spans = std::make_shared<smpi::obs::SpanCollector>(np);
       static_cast<smpi::obs::RunTotals&>(result) = smpi::obs::run_observed(
           platform, config, np, std::move(app),
-          {ti_writer.get(), paje.get(), spans.get(), res.get(), profiler_slot});
+          {ti_writer.get(), spans.get(), res.get(), profiler_slot});
       result.spans = std::move(spans);
+    }
+    if (paje) {
+      // With --analyze the states are the wait-state classes unless
+      // --paje-classic keeps one state per MPI call.
+      smpi::trace::write_paje(*result.spans, options.trace_paje, result.simulated_time,
+                              options.analyze && !options.paje_classic
+                                  ? smpi::trace::PajeStates::kWaitStates
+                                  : smpi::trace::PajeStates::kMpiCalls);
     }
     if (options.profile) finish_profile(profiler, options);
     if (options.verbose && ti_writer != nullptr) {
@@ -473,16 +476,13 @@ int main(int argc, char** argv) {
                   options.backend.c_str());
     }
     std::printf("simulated execution time: %.9f s\n", result.simulated_time);
-    if (result.analyzed) {
-      std::printf("%s", smpi::obs::analysis_text(result.analysis).c_str());
-      if (classified_paje) {
-        smpi::obs::export_classified_paje(*result.spans, options.trace_paje,
-                                          result.simulated_time);
-      }
-    }
+    if (options.analyze) std::printf("%s", smpi::obs::analysis_text(result.analysis).c_str());
     if (options.resources) std::printf("%s", res->report().c_str());
     if (!options.trace_perfetto.empty()) {
-      if (!smpi::obs::write_perfetto_trace(options.trace_perfetto, res.get(), result.spans.get(),
+      // Per-rank span tracks belong to --analyze; spans collected only for
+      // --trace-paje stay out of the Perfetto file.
+      if (!smpi::obs::write_perfetto_trace(options.trace_perfetto, res.get(),
+                                           options.analyze ? result.spans.get() : nullptr,
                                            profiler_slot, result.simulated_time)) {
         std::fprintf(stderr, "smpirun: cannot write Perfetto trace to %s\n",
                      options.trace_perfetto.c_str());
