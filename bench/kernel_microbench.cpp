@@ -2,7 +2,9 @@
 // speed makes single-node on-line simulation viable — context switches, the
 // max-min solver, the event loop, piece-wise lookup, platform construction.
 // These back the §5.1 design argument (sequential kernel + analytical models
-// => fast and scalable).
+// => fast and scalable). BM_NasLcgFill tracks the application's own compute
+// that dominated online DT: one class B source filling its feature stream
+// from the NAS generator.
 //
 // Besides the google-benchmark tables, main() emits BENCH_solver.json with
 // the lazy-vs-full solver churn trajectory (see bench_json.hpp).
@@ -10,6 +12,7 @@
 
 #include <chrono>
 
+#include "apps/dt.hpp"
 #include "bench_json.hpp"
 #include "platform/builders.hpp"
 #include "platform/platform_xml.hpp"
@@ -168,6 +171,21 @@ void BM_XmlParsePlatform(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_XmlParsePlatform);
+
+// What one DT class B source draws (apps/dt.cpp fill_source_features):
+// 884,736 values of the NAS 2^46 stream.
+void BM_NasLcgFill(benchmark::State& state) {
+  std::vector<double> stream(smpi::apps::dt_feature_elements(smpi::apps::DtClass::kB));
+  for (auto _ : state) {
+    smpi::util::NasLcg lcg;
+    lcg.skip(97);
+    for (double& value : stream) value = lcg.randlc() - 0.5;
+    benchmark::DoNotOptimize(stream.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(stream.size()));
+}
+BENCHMARK(BM_NasLcgFill);
 
 // Perf-trajectory artifact: ns per churn op (flow departure + arrival +
 // re-solve) for both solver paths, across concurrent flow counts.

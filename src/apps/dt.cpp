@@ -269,19 +269,28 @@ core::MpiMain make_dt_app(const DtParams& params) {
 double dt_reference_checksum(const DtParams& params) {
   const DtGraphSpec spec = build_dt_graph(params.graph, params.cls);
   const std::size_t base = params.feature_length();
-  std::vector<std::vector<double>> values(static_cast<std::size_t>(spec.node_count()));
+  // Nodes are numbered layer by layer and every predecessor sits in the layer
+  // before, so only that layer's streams need to stay alive.
+  std::vector<std::vector<double>> previous, current;
+  int previous_first = 0, current_first = 0, current_layer = 0;
   double checksum = 0;
   for (int node = 0; node < spec.node_count(); ++node) {
     const int layer = spec.layer[static_cast<std::size_t>(node)];
-    auto& mine = values[static_cast<std::size_t>(node)];
-    mine.resize(dt_node_elements(params.graph, params.cls, layer, base));
+    if (layer != current_layer) {
+      previous = std::move(current);
+      current.clear();
+      previous_first = current_first;
+      current_first = node;
+      current_layer = layer;
+    }
+    auto& mine = current.emplace_back(dt_node_elements(params.graph, params.cls, layer, base));
     const auto& preds = spec.predecessors[static_cast<std::size_t>(node)];
     if (preds.empty()) {
       fill_source_features(static_cast<std::uint64_t>(node), params, mine.data(), mine.size());
     } else {
       const std::size_t in_len = dt_edge_elements(params.graph, params.cls, layer - 1, base);
       for (std::size_t p = 0; p < preds.size(); ++p) {
-        const auto& src = values[static_cast<std::size_t>(preds[p])];
+        const auto& src = previous[static_cast<std::size_t>(preds[p] - previous_first)];
         // Which slice of the predecessor's stream reaches me?
         const auto& pred_succs = spec.successors[static_cast<std::size_t>(preds[p])];
         std::size_t my_index = 0;

@@ -1,7 +1,5 @@
 #include "util/rng.hpp"
 
-#include <cmath>
-
 #include "util/check.hpp"
 
 namespace smpi::util {
@@ -16,23 +14,6 @@ std::uint64_t splitmix64(std::uint64_t& state) {
 }
 
 std::uint64_t rotl(std::uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
-
-// Multiply two doubles that encode 46-bit integers, modulo 2^46, using the
-// NAS split-precision trick (exact in IEEE double arithmetic).
-double mul_mod_46(double a, double x) {
-  constexpr double r23 = 0x1p-23, t23 = 0x1p23;
-  constexpr double r46 = 0x1p-46, t46 = 0x1p46;
-  const double a1 = std::trunc(r23 * a);
-  const double a2 = a - t23 * a1;
-  const double x1 = std::trunc(r23 * x);
-  const double x2 = x - t23 * x1;
-  const double t1 = a1 * x2 + a2 * x1;
-  const double t2 = std::trunc(r23 * t1);
-  const double z = t1 - t23 * t2;
-  const double t3 = t23 * z + a2 * x2;
-  const double t4 = std::trunc(r46 * t3);
-  return t3 - t46 * t4;
-}
 
 }  // namespace
 
@@ -62,11 +43,6 @@ std::uint64_t Xoshiro256StarStar::next_in_range(std::uint64_t lo, std::uint64_t 
   const std::uint64_t span = hi - lo + 1;
   if (span == 0) return next_u64();  // full 64-bit range
   return lo + next_u64() % span;
-}
-
-double NasLcg::randlc() {
-  x_ = mul_mod_46(kA, x_);
-  return x_ * 0x1p-46;
 }
 
 void NasLcg::skip(std::uint64_t n) { x_ = nas_lcg_power(kA, n, x_); }
@@ -101,12 +77,12 @@ std::uint64_t mix_stream(std::uint64_t seed, std::uint64_t stream, std::uint64_t
   return mix_step(mix_stream(seed, stream, index), draw);
 }
 
-double nas_lcg_power(double a, std::uint64_t n, double seed) {
-  double t = a;
-  double result = seed;
+std::uint64_t nas_lcg_power(std::uint64_t a, std::uint64_t n, std::uint64_t seed) {
+  std::uint64_t t = a & NasLcg::kMask;
+  std::uint64_t result = seed & NasLcg::kMask;
   while (n != 0) {
-    if (n & 1) result = mul_mod_46(t, result);
-    t = mul_mod_46(t, t);
+    if (n & 1) result = (t * result) & NasLcg::kMask;
+    t = (t * t) & NasLcg::kMask;
     n >>= 1;
   }
   return result;

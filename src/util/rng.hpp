@@ -3,7 +3,7 @@
 // Two generators:
 //  * Xoshiro256StarStar — general-purpose generator used by workload
 //    generators and property tests (seeded, reproducible across platforms).
-//  * NasLcg — the 48-bit linear congruential generator specified by the NAS
+//  * NasLcg — the 46-bit linear congruential generator specified by the NAS
 //    Parallel Benchmarks (a = 5^13, modulus 2^46), needed so our EP and DT
 //    kernels produce the NAS reference streams.
 #pragma once
@@ -28,25 +28,34 @@ class Xoshiro256StarStar {
 
 // NAS Parallel Benchmarks pseudo-random stream: x_{k+1} = a*x_k mod 2^46.
 // randlc() returns x_{k+1} * 2^-46 in (0,1) and advances the state.
+//
+// The state is an integer below 2^46, and the arithmetic is exact: 2^46
+// divides 2^64, so the wrapping 64-bit product masked to 46 bits is a*x mod
+// 2^46, and every integer below 2^46 converts to a double exactly. NAS's
+// split-double randlc is exact too, so both draw bitwise the same values.
 class NasLcg {
  public:
-  static constexpr double kDefaultSeed = 314159265.0;
-  static constexpr double kA = 1220703125.0;  // 5^13
+  static constexpr std::uint64_t kDefaultSeed = 314159265;
+  static constexpr std::uint64_t kA = 1220703125;  // 5^13
+  static constexpr std::uint64_t kMask = (std::uint64_t{1} << 46) - 1;
 
-  explicit NasLcg(double seed = kDefaultSeed) : x_(seed) {}
+  explicit NasLcg(std::uint64_t seed = kDefaultSeed) : x_(seed & kMask) {}
 
-  double randlc();
+  double randlc() {
+    x_ = (kA * x_) & kMask;
+    return static_cast<double>(x_) * 0x1p-46;
+  }
   // Jump the stream forward: state := a^n * state mod 2^46, used by EP to give
   // every rank an independent block of the global stream.
   void skip(std::uint64_t n);
-  double state() const { return x_; }
+  std::uint64_t state() const { return x_; }
 
  private:
-  double x_;
+  std::uint64_t x_;
 };
 
-// t = a^n * seed mod 2^46 without advancing through all n steps (NAS ipow46).
-double nas_lcg_power(double a, std::uint64_t n, double seed);
+// a^n * seed mod 2^46 by square-and-multiply, without stepping n times (NAS ipow46).
+std::uint64_t nas_lcg_power(std::uint64_t a, std::uint64_t n, std::uint64_t seed);
 
 // ---------------------------------------------------------------------------
 // Counter-seeded sub-streams

@@ -2,6 +2,8 @@
 
 #include <chrono>
 #include <cmath>
+#include <cstdio>
+#include <string>
 
 #include "apps/dt.hpp"
 #include "apps/ep.hpp"
@@ -100,6 +102,69 @@ TEST_P(DtEndToEnd, ChecksumMatchesSerialReference) {
 INSTANTIATE_TEST_SUITE_P(Graphs, DtEndToEnd,
                          ::testing::Values(ap::DtGraph::kBlackHole, ap::DtGraph::kWhiteHole,
                                            ap::DtGraph::kShuffle));
+
+// ---------------------------------------------------------------------------
+// Golden values. The end-to-end tests compare the MPI run with the serial
+// reference, and both draw from the same NAS generator, so a wrong generator
+// would pass them. These pin the streams' outputs bitwise (%.17g).
+// ---------------------------------------------------------------------------
+
+namespace {
+
+std::string g17(double value) {
+  char text[32];
+  std::snprintf(text, sizeof text, "%.17g", value);
+  return text;
+}
+
+}  // namespace
+
+TEST(NasGolden, DtReferenceChecksumsArePinned) {
+  struct Golden {
+    ap::DtGraph graph;
+    ap::DtClass cls;
+    const char* checksum;
+  };
+  const Golden goldens[] = {
+      {ap::DtGraph::kBlackHole, ap::DtClass::kS, "1718.2302660661851"},
+      {ap::DtGraph::kBlackHole, ap::DtClass::kW, "27708.710592461441"},
+      {ap::DtGraph::kBlackHole, ap::DtClass::kA, "443104.89406284568"},
+      {ap::DtGraph::kWhiteHole, ap::DtClass::kS, "1704.2128125165532"},
+      {ap::DtGraph::kWhiteHole, ap::DtClass::kW, "27695.665624671499"},
+      {ap::DtGraph::kWhiteHole, ap::DtClass::kA, "443040.57793425949"},
+      {ap::DtGraph::kShuffle, ap::DtClass::kS, "1718.2302660661776"},
+      {ap::DtGraph::kShuffle, ap::DtClass::kW, "27708.710592461473"},
+      {ap::DtGraph::kShuffle, ap::DtClass::kA, "443104.8940628033"},
+  };
+  for (const auto& golden : goldens) {
+    ap::DtParams params;
+    params.graph = golden.graph;
+    params.cls = golden.cls;
+    SCOPED_TRACE(std::string(ap::dt_graph_name(golden.graph)) + " " +
+                 ap::dt_class_name(golden.cls));
+    EXPECT_EQ(g17(ap::dt_reference_checksum(params)), golden.checksum);
+  }
+}
+
+TEST(NasGolden, EpReferenceIsPinned) {
+  ap::EpParams params;
+  params.log2_pairs = 16;
+  const auto reference = ap::ep_reference(params);
+  EXPECT_EQ(g17(reference.sum_x), "-98.347422427192882");
+  EXPECT_EQ(g17(reference.sum_y), "-58.634611509694302");
+  EXPECT_EQ(reference.gaussian_pairs(), 51427);
+}
+
+TEST(NasGolden, OnlineDtChecksumIsPinned) {
+  ap::DtParams params;
+  params.graph = ap::DtGraph::kShuffle;
+  params.cls = ap::DtClass::kW;
+  const int nprocs = ap::dt_process_count(params.graph, params.cls);
+  auto platform = test_cluster(nprocs);
+  sc::SmpiWorld world(platform, fast_config());
+  world.run(nprocs, ap::make_dt_app(params));
+  EXPECT_EQ(g17(ap::dt_last_checksum()), "27708.71059246147");
+}
 
 TEST(DtApp, FoldedMemoryShrinksFootprintButKeepsTraffic) {
   ap::DtParams params;

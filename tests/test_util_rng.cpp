@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstddef>
+#include <cstring>
 #include <set>
 
 namespace su = smpi::util;
@@ -61,7 +63,7 @@ TEST(NasLcg, SkipMatchesStepping) {
 
   su::NasLcg jumped;
   jumped.skip(1000);
-  EXPECT_DOUBLE_EQ(stepped.state(), jumped.state());
+  EXPECT_EQ(stepped.state(), jumped.state());
 }
 
 TEST(NasLcg, SkipComposes) {
@@ -70,14 +72,13 @@ TEST(NasLcg, SkipComposes) {
   a.skip(877);
   su::NasLcg b;
   b.skip(1000);
-  EXPECT_DOUBLE_EQ(a.state(), b.state());
+  EXPECT_EQ(a.state(), b.state());
 }
 
 TEST(NasLcg, PowerFunctionMatchesState) {
   su::NasLcg lcg;
   lcg.skip(4096);
-  EXPECT_DOUBLE_EQ(lcg.state(),
-                   su::nas_lcg_power(su::NasLcg::kA, 4096, su::NasLcg::kDefaultSeed));
+  EXPECT_EQ(lcg.state(), su::nas_lcg_power(su::NasLcg::kA, 4096, su::NasLcg::kDefaultSeed));
 }
 
 TEST(MixStream, DeterministicAndArityDistinct) {
@@ -129,16 +130,89 @@ TEST(MixStream, SubStreamsAreNotInLockstep) {
   EXPECT_GT(deltas.size(), 250u) << "streams track each other";
 }
 
+// ---------------------------------------------------------------------------
+// An independent oracle for NasLcg: the NAS split-double arithmetic
+// (randlc.f), kept here only as the reference the library is checked against.
+// ---------------------------------------------------------------------------
+
+namespace {
+
+// a * x mod 2^46 for doubles that encode integers below 2^46, exact in IEEE
+// double arithmetic.
+double mul_mod_46(double a, double x) {
+  constexpr double r23 = 0x1p-23, t23 = 0x1p23;
+  constexpr double r46 = 0x1p-46, t46 = 0x1p46;
+  const double a1 = std::trunc(r23 * a);
+  const double a2 = a - t23 * a1;
+  const double x1 = std::trunc(r23 * x);
+  const double x2 = x - t23 * x1;
+  const double t1 = a1 * x2 + a2 * x1;
+  const double t2 = std::trunc(r23 * t1);
+  const double z = t1 - t23 * t2;
+  const double t3 = t23 * z + a2 * x2;
+  const double t4 = std::trunc(r46 * t3);
+  return t3 - t46 * t4;
+}
+
+double reference_power(double a, std::uint64_t n, double seed) {
+  double t = a;
+  double result = seed;
+  while (n != 0) {
+    if (n & 1) result = mul_mod_46(t, result);
+    t = mul_mod_46(t, t);
+    n >>= 1;
+  }
+  return result;
+}
+
+std::uint64_t bits(double value) {
+  std::uint64_t out;
+  std::memcpy(&out, &value, sizeof out);
+  return out;
+}
+
+}  // namespace
+
 TEST(NasLcg, MatchesExactIntegerArithmetic) {
-  // The split-precision double trick must agree bit-for-bit with exact
-  // 128-bit integer arithmetic: x_{k+1} = a * x_k mod 2^46.
+  // Both the split-double reference and the library must agree bit-for-bit
+  // with exact 128-bit integer arithmetic: x_{k+1} = a * x_k mod 2^46.
   constexpr unsigned __int128 kMod = (static_cast<unsigned __int128>(1) << 46);
   unsigned __int128 x = 314159265;
+  double reference = 314159265.0;
   su::NasLcg lcg;
-  for (int i = 0; i < 100; ++i) {
+  for (int i = 0; i < 100000; ++i) {
     x = (x * 1220703125u) % kMod;
-    const double got = lcg.randlc();
+    reference = mul_mod_46(1220703125.0, reference);
     const double want = static_cast<double>(static_cast<std::uint64_t>(x)) * 0x1p-46;
-    ASSERT_DOUBLE_EQ(got, want) << "diverged at step " << i;
+    ASSERT_EQ(bits(reference * 0x1p-46), bits(want)) << "reference diverged at step " << i;
+    ASSERT_EQ(bits(lcg.randlc()), bits(want)) << "library diverged at step " << i;
+  }
+}
+
+TEST(NasLcg, MatchesSplitDoubleReferenceAfterSkips) {
+  // 2^20 draws after each jump, every one compared bitwise; the jumps cover
+  // the offsets DT and EP use and counts past 2^32 and 2^40.
+  constexpr int kDraws = 1 << 20;
+  for (const std::uint64_t n : {std::uint64_t{0}, std::uint64_t{1}, std::uint64_t{97},
+                                std::uint64_t{12345}, (std::uint64_t{1} << 40) + 7,
+                                std::uint64_t{0xffffffffff}}) {
+    SCOPED_TRACE(n);
+    double reference = reference_power(1220703125.0, n, 314159265.0);
+    EXPECT_EQ(static_cast<double>(
+                  su::nas_lcg_power(su::NasLcg::kA, n, su::NasLcg::kDefaultSeed)),
+              reference);
+    su::NasLcg lcg;
+    lcg.skip(n);
+    EXPECT_EQ(static_cast<double>(lcg.state()), reference);
+
+    int mismatches = 0, first = -1;
+    for (int i = 0; i < kDraws; ++i) {
+      reference = mul_mod_46(1220703125.0, reference);
+      if (bits(lcg.randlc()) != bits(reference * 0x1p-46)) {
+        if (mismatches++ == 0) first = i;
+      }
+    }
+    EXPECT_EQ(mismatches, 0) << "first mismatch at draw " << first;
+    EXPECT_EQ(static_cast<double>(lcg.state()), reference);
   }
 }
