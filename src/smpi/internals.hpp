@@ -531,6 +531,12 @@ int internal_wait(Request* request);
 // a late interleaving peaks above every earlier round's high-water mark.
 void reserve_coll_queues(Process& proc, Comm* comm, std::size_t messages);
 
+// The one allocate/release pair for rank memory (see shared.cpp): blocks of
+// 2 MiB or more are 2 MiB-aligned mappings advised for huge pages, smaller
+// ones come from ::operator new. `size` must be the size allocated.
+void* allocate_rank_memory(std::size_t size);
+void release_rank_memory(void* ptr, std::size_t size);
+
 // Sampling/memory helpers (sample.cpp / shared.cpp); called between
 // simulations so one world's folded state never leaks into the next.
 void reset_shared_allocations();

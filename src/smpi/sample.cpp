@@ -5,13 +5,16 @@
 // SMPI_SAMPLE_GLOBAL(n) — n measurements total across all processes;
 // SMPI_SAMPLE_DELAY(f)  — the burst never runs; f flops are injected.
 //
-// When a burst *does* execute, the measured host wall-clock time is
-// converted into target flops through config.host_speed_flops and injected
-// into the simulated timeline, so executed and folded iterations cost
-// simulated time consistently. Sites are identified by file:line, the same
+// When a burst *does* execute, its measured host time is converted into
+// target flops through config.host_speed_flops and injected into the
+// simulated timeline, so executed and folded iterations cost simulated time
+// consistently. Bursts are timed with the calling thread's CPU clock, as
+// SimGrid's thread timer does: a burst the host preempts does not inflate
+// the simulated time. Sites are identified by file:line, the same
 // hash-table scheme the paper describes (§5.2).
+#include <time.h>
+
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <limits>
 #include <string>
@@ -40,8 +43,9 @@ SampleSite& lookup_site(const char* file, int line, bool global) {
 }
 
 double host_seconds_now() {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now().time_since_epoch())
-      .count();
+  timespec now{};
+  ::clock_gettime(CLOCK_THREAD_CPUTIME_ID, &now);
+  return static_cast<double>(now.tv_sec) + static_cast<double>(now.tv_nsec) * 1e-9;
 }
 
 void inject_host_seconds(double host_seconds) {

@@ -99,7 +99,7 @@ Process::~Process() {
   // Tracked allocations leaked by the application are reclaimed here.
   for (auto& [ptr, size] : allocations) {
     world->memory().release(world_rank, size, false);
-    ::operator delete(ptr);
+    release_rank_memory(ptr, size);
   }
 }
 

@@ -2,9 +2,17 @@
 // injection, abort handling, and the packet backend running the same MPI
 // code (the on-line ground-truth mode).
 #include <gtest/gtest.h>
+#include <sys/mman.h>
 
+#include <cerrno>
+#include <cstdint>
+#include <cstdio>
+#include <filesystem>
+#include <fstream>
+#include <string>
 #include <vector>
 
+#include "smpi/internals.hpp"
 #include "smpi_test_util.hpp"
 
 using namespace smpi_test;
@@ -175,6 +183,173 @@ TEST(SmpiShared, LeakedAllocationsReclaimedAtTeardown) {
   });
   EXPECT_EQ(world.memory_report().unfolded_peak_bytes, 2u * 4096);
   // Destructor reclaims without tripping the tracker's underflow checks.
+}
+
+// Rank memory of at least one huge page (2 MiB) is its own 2 MiB-aligned
+// mapping whose whole huge pages are advised MADV_HUGEPAGE; the tail under
+// 2 MiB and smaller blocks keep 4 KiB pages.
+namespace {
+
+constexpr std::size_t kMiB = std::size_t{1} << 20;
+constexpr std::size_t kHugePage = 2 * kMiB;
+constexpr std::size_t kDtClassBBlock = 884736 * sizeof(double);  // 6.75 MiB
+
+bool huge_page_aligned(const void* p) {
+  return reinterpret_cast<std::uintptr_t>(p) % kHugePage == 0;
+}
+
+// Writes a position- and seed-dependent pattern over every byte, then reads
+// it all back; true when every byte survived.
+bool write_and_read_back(void* block, std::size_t size, unsigned seed) {
+  auto* bytes = static_cast<unsigned char*>(block);
+  for (std::size_t i = 0; i < size; ++i) bytes[i] = static_cast<unsigned char>(i * 31 + seed);
+  for (std::size_t i = 0; i < size; ++i) {
+    if (bytes[i] != static_cast<unsigned char>(i * 31 + seed)) return false;
+  }
+  return true;
+}
+
+// The /proc/self/smaps mapping that contains `addr`.
+struct Mapping {
+  std::uintptr_t start = 0;
+  std::uintptr_t end = 0;
+  bool huge_advised = false;  // VmFlags carries "hg" (MADV_HUGEPAGE)
+};
+
+Mapping mapping_of(const void* addr) {
+  const auto target = reinterpret_cast<std::uintptr_t>(addr);
+  std::ifstream smaps("/proc/self/smaps");
+  Mapping found;
+  bool inside = false;
+  std::string line;
+  while (std::getline(smaps, line)) {
+    unsigned long lo = 0, hi = 0;
+    if (std::sscanf(line.c_str(), "%lx-%lx ", &lo, &hi) == 2) {
+      inside = lo <= target && target < hi;
+      if (inside) found = Mapping{lo, hi, false};
+    } else if (inside && line.rfind("VmFlags:", 0) == 0) {
+      found.huge_advised = (line + " ").find(" hg ") != std::string::npos;
+      return found;
+    }
+  }
+  return found;
+}
+
+bool unmapped(const void* addr, std::size_t size) {
+  return ::msync(const_cast<void*>(addr), size, MS_ASYNC) != 0 && errno == ENOMEM;
+}
+
+}  // namespace
+
+TEST(SmpiRankMemory, LargeBlocksStartHugePageAlignedAndHoldEveryByte) {
+  run_mpi(2, [] {
+    for (std::size_t size : {3 * kMiB, kDtClassBBlock}) {
+      void* block = smpi_malloc(size);
+      EXPECT_TRUE(huge_page_aligned(block)) << size;
+      EXPECT_TRUE(write_and_read_back(block, size, static_cast<unsigned>(my_rank())));
+      smpi_free(block);
+    }
+  });
+}
+
+TEST(SmpiRankMemory, HugePageAdviceStopsBeforeTheTail) {
+  if (!std::filesystem::exists("/sys/kernel/mm/transparent_hugepage/enabled")) {
+    GTEST_SKIP() << "kernel without transparent huge pages";
+  }
+  run_mpi(2, [] {
+    for (std::size_t size : {3 * kMiB, kDtClassBBlock}) {
+      auto* block = static_cast<unsigned char*>(smpi_malloc(size));
+      const std::size_t whole = size / kHugePage * kHugePage;
+      const Mapping head = mapping_of(block);
+      EXPECT_TRUE(head.huge_advised) << size;
+      EXPECT_EQ(head.start, reinterpret_cast<std::uintptr_t>(block)) << size;
+      EXPECT_EQ(head.end, reinterpret_cast<std::uintptr_t>(block + whole)) << size;
+      EXPECT_FALSE(mapping_of(block + whole).huge_advised) << size;
+      smpi_free(block);
+    }
+    // Under one huge page a block stays on the heap, unadvised.
+    void* small = smpi_malloc(kMiB);
+    EXPECT_FALSE(mapping_of(small).huge_advised);
+    smpi_free(small);
+  });
+}
+
+TEST(SmpiRankMemory, AllocateFreeCyclesLeaveTheTrackerAtZero) {
+  auto platform = test_cluster(2);
+  sc::SmpiWorld world(platform, fast_config());
+  world.run(2, [](int, char**) {
+    MPI_Init(nullptr, nullptr);
+    const std::size_t sizes[] = {3 * kMiB, kDtClassBBlock, 64 * 1024, kHugePage};
+    for (int cycle = 0; cycle < 100; ++cycle) {
+      const std::size_t size = sizes[cycle % 4];
+      auto* block = static_cast<unsigned char*>(smpi_malloc(size));
+      block[0] = 1;
+      block[size - 1] = 2;
+      smpi_free(block);
+    }
+    MPI_Finalize();
+  });
+  EXPECT_EQ(world.memory().unfolded_current(), 0u);
+  EXPECT_EQ(world.memory().folded_current(), 0u);
+  EXPECT_EQ(world.memory_report().max_rank_peak_bytes, kDtClassBBlock);
+}
+
+TEST(SmpiRankMemory, LeakedLargeBlocksReclaimedAtTeardown) {
+  static void* leaked[2];
+  static void* leaked_shared = nullptr;
+  {
+    auto platform = test_cluster(2);
+    sc::SmpiWorld world(platform, fast_config());
+    world.run(2, [](int, char**) {
+      MPI_Init(nullptr, nullptr);
+      leaked[my_rank()] = smpi_malloc(3 * kMiB);  // deliberately leaked
+      leaked_shared = SMPI_SHARED_MALLOC(3 * kMiB);  // never SMPI_FREEd
+      static_cast<unsigned char*>(leaked[my_rank()])[3 * kMiB - 1] = 1;
+      MPI_Finalize();
+    });
+    // Exact up to teardown: two private blocks, the shared one once folded.
+    EXPECT_EQ(world.memory().unfolded_current(), 4 * 3 * kMiB);
+    EXPECT_EQ(world.memory().folded_current(), 3 * 3 * kMiB);
+    // Teardown releases every leaked byte through the tracker, whose
+    // underflow checks would abort on a mismatch.
+  }
+  EXPECT_TRUE(unmapped(leaked[0], 3 * kMiB));
+  EXPECT_TRUE(unmapped(leaked[1], 3 * kMiB));
+  EXPECT_TRUE(unmapped(leaked_shared, 3 * kMiB));
+}
+
+TEST(SmpiRankMemory, FoldedLargeBlockIsSharedAndAligned) {
+  static void* seen[4];
+  auto platform = test_cluster(4);
+  sc::SmpiWorld world(platform, fast_config());
+  world.run(4, [](int, char**) {
+    MPI_Init(nullptr, nullptr);
+    auto* data = static_cast<unsigned char*>(SMPI_SHARED_MALLOC(3 * kMiB));
+    seen[my_rank()] = data;
+    EXPECT_TRUE(huge_page_aligned(data));
+    // Each rank writes its own quarter, tail included; all read all.
+    const std::size_t quarter = 3 * kMiB / 4;
+    for (std::size_t i = 0; i < quarter; ++i) {
+      data[static_cast<std::size_t>(my_rank()) * quarter + i] = static_cast<unsigned char>(my_rank());
+    }
+    MPI_Barrier(MPI_COMM_WORLD);
+    for (std::size_t i = 0; i < 3 * kMiB; ++i) {
+      if (data[i] != i / quarter) {
+        ADD_FAILURE() << "byte " << i;
+        break;
+      }
+    }
+    MPI_Barrier(MPI_COMM_WORLD);
+    SMPI_FREE(data);
+    MPI_Finalize();
+  });
+  EXPECT_EQ(seen[0], seen[1]);
+  EXPECT_EQ(seen[0], seen[3]);
+  const auto report = world.memory_report();
+  EXPECT_EQ(report.folded_peak_bytes, 3 * kMiB);
+  EXPECT_EQ(report.unfolded_peak_bytes, 4 * 3 * kMiB);
+  EXPECT_EQ(world.memory().unfolded_current(), 0u);
+  EXPECT_EQ(world.memory().folded_current(), 0u);
 }
 
 TEST(SmpiBackend, SameProgramRunsOnPacketNetwork) {
